@@ -28,7 +28,7 @@
 #include "common/fault_injector.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "middleware/batch_matcher.h"
+#include "middleware/count_batch.h"
 #include "middleware/parallel_scan.h"
 #include "storage/checksum.h"
 #include "storage/heap_file.h"
@@ -75,7 +75,7 @@ bool WriteHeapFile(const std::string& path, const Schema& schema,
 struct Frontier {
   std::vector<std::unique_ptr<Expr>> predicates;
   std::vector<std::vector<int>> attrs;
-  std::unique_ptr<BatchMatcher> matcher;
+  std::unique_ptr<CountBatch> counts;
 };
 
 Frontier MakeFrontier(const Schema& schema) {
@@ -90,9 +90,12 @@ Frontier MakeFrontier(const Schema& schema) {
     for (int c = 1; c < kNumAttrs; ++c) attrs.push_back(c);
     f.attrs.push_back(std::move(attrs));
   }
-  std::vector<const Expr*> raw;
-  for (const auto& p : f.predicates) raw.push_back(p.get());
-  f.matcher = std::make_unique<BatchMatcher>(raw);
+  std::vector<CountBatch::Node> nodes;
+  for (size_t i = 0; i < f.predicates.size(); ++i) {
+    nodes.push_back({f.predicates[i].get(), &f.attrs[i]});
+  }
+  f.counts = std::make_unique<CountBatch>(nodes, schema.class_column(),
+                                          kNumClasses);
   return f;
 }
 
@@ -128,12 +131,6 @@ int main(int argc, char** argv) {
   }
 
   ParallelScanOptions options;
-  options.class_column = schema.class_column();
-  options.num_classes = kNumClasses;
-  options.matcher = frontier.matcher.get();
-  for (const auto& attrs : frontier.attrs) {
-    options.node_attrs.push_back(&attrs);
-  }
   options.charge.server_row_evaluated = true;
   options.charge.cursor_transfer = true;
 
@@ -185,9 +182,11 @@ int main(int argc, char** argv) {
       configs[c].setup();
       CostCounters cost;
       IoCounters io;
+      frontier.counts->Reset();
       Stopwatch watch;
       StatusOr<ParallelScanResult> scan = ParallelCountScan::OverHeapFile(
-          &pool, path, schema.num_columns(), options, &cost, &io);
+          &pool, path, schema.num_columns(), options, frontier.counts.get(),
+          &cost, &io);
       const double elapsed = watch.ElapsedSeconds();
       if (!scan.ok()) {
         std::fprintf(stderr, "scan: %s\n", scan.status().ToString().c_str());

@@ -17,7 +17,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "middleware/batch_matcher.h"
+#include "middleware/count_batch.h"
 #include "middleware/parallel_scan.h"
 #include "storage/heap_file.h"
 
@@ -66,7 +66,7 @@ bool WriteHeapFile(const std::string& path, const Schema& schema,
 struct Frontier {
   std::vector<std::unique_ptr<Expr>> predicates;
   std::vector<std::vector<int>> attrs;
-  std::unique_ptr<BatchMatcher> matcher;
+  std::unique_ptr<CountBatch> counts;
 };
 
 Frontier MakeFrontier(const Schema& schema) {
@@ -84,9 +84,12 @@ Frontier MakeFrontier(const Schema& schema) {
       f.attrs.push_back(std::move(attrs));
     }
   }
-  std::vector<const Expr*> raw;
-  for (const auto& p : f.predicates) raw.push_back(p.get());
-  f.matcher = std::make_unique<BatchMatcher>(raw);
+  std::vector<CountBatch::Node> nodes;
+  for (size_t i = 0; i < f.predicates.size(); ++i) {
+    nodes.push_back({f.predicates[i].get(), &f.attrs[i]});
+  }
+  f.counts = std::make_unique<CountBatch>(nodes, schema.class_column(),
+                                          kNumClasses);
   return f;
 }
 
@@ -159,12 +162,6 @@ int main(int argc, char** argv) {
     }
 
     ParallelScanOptions options;
-    options.class_column = schema.class_column();
-    options.num_classes = kNumClasses;
-    options.matcher = frontier.matcher.get();
-    for (const auto& attrs : frontier.attrs) {
-      options.node_attrs.push_back(&attrs);
-    }
     options.charge.server_row_evaluated = true;
     options.charge.cursor_transfer = true;
 
@@ -180,9 +177,11 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < 3; ++rep) {
         cost.Reset();
         io.Reset();
+        frontier.counts->Reset();
         Stopwatch watch;
         scan = ParallelCountScan::OverHeapFile(
-            &pool, path, schema.num_columns(), options, &cost, &io);
+            &pool, path, schema.num_columns(), options, frontier.counts.get(),
+            &cost, &io);
         const double elapsed = watch.ElapsedSeconds();
         if (!scan.ok()) {
           std::fprintf(stderr, "scan: %s\n", scan.status().ToString().c_str());
@@ -196,15 +195,19 @@ int main(int argc, char** argv) {
       cell.threads = threads;
       cell.wall_seconds = wall;
       cell.sim_seconds = cost_model.SimulatedSeconds(cost);
+      const CountBatch& counts = *frontier.counts;
       if (threads == 1) {
-        serial_ccs = std::move(scan->ccs);
+        serial_ccs.clear();
+        for (size_t i = 0; i < counts.size(); ++i) {
+          serial_ccs.push_back(counts.cc(i));
+        }
         serial_wall = wall;
         cell.cc_identical = true;
         cell.speedup = 1.0;
       } else {
-        cell.cc_identical = scan->ccs.size() == serial_ccs.size();
+        cell.cc_identical = counts.size() == serial_ccs.size();
         for (size_t i = 0; cell.cc_identical && i < serial_ccs.size(); ++i) {
-          cell.cc_identical = scan->ccs[i] == serial_ccs[i];
+          cell.cc_identical = counts.cc(i) == serial_ccs[i];
         }
         cell.speedup = wall > 0 ? serial_wall / wall : 0;
       }

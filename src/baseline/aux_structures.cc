@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-#include "middleware/batch_matcher.h"
+#include "middleware/count_batch.h"
 
 namespace sqlclass {
 
@@ -134,17 +134,6 @@ StatusOr<std::vector<CcResult>> AuxStructureProvider::FulfillSome() {
   std::unique_ptr<Expr> predicate = UnionPredicate(batch);
   SQLCLASS_RETURN_IF_ERROR(MaybeBuildStructure(active_rows, predicate.get()));
 
-  std::vector<const Expr*> predicates;
-  predicates.reserve(batch.size());
-  for (const CcRequest& request : batch) {
-    predicates.push_back(request.predicate.get());
-  }
-  BatchMatcher matcher(predicates);
-  results.reserve(batch.size());
-  for (const CcRequest& request : batch) {
-    results.emplace_back(request.node_id, CcTable(num_classes_));
-  }
-
   std::unique_ptr<ServerCursor> cursor;
   if (!built_) {
     SQLCLASS_ASSIGN_OR_RETURN(cursor,
@@ -172,18 +161,19 @@ StatusOr<std::vector<CcResult>> AuxStructureProvider::FulfillSome() {
     }
   }
 
-  const int class_column = schema_.class_column();
-  Row row;
-  std::vector<int> matches;
-  CostCounters& cost = server_->cost_counters();
-  while (true) {
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-    if (!more) break;
-    matcher.Match(row, &matches);
-    for (int pos : matches) {
-      results[pos].cc.AddRow(row, batch[pos].active_attrs, class_column);
-      cost.mw_cc_updates += batch[pos].active_attrs.size();
-    }
+  std::vector<CountBatch::Node> nodes;
+  nodes.reserve(batch.size());
+  for (const CcRequest& request : batch) {
+    nodes.push_back(CountBatch::NodeOf(request));
+  }
+  CountBatch counts(nodes, schema_.class_column(), num_classes_);
+  uint64_t rows_read = 0;  // the cursor charges its own transfer
+  const Status scanned = CountAllRows(cursor.get(), &counts, &rows_read);
+  server_->cost_counters().mw_cc_updates += counts.CcUpdates();
+  SQLCLASS_RETURN_IF_ERROR(scanned);
+  results.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    results.emplace_back(batch[i].node_id, counts.Take(i));
   }
   return results;
 }

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "middleware/batch_matcher.h"
+#include "middleware/count_batch.h"
 
 namespace sqlclass {
 
@@ -81,35 +81,27 @@ StatusOr<std::vector<CcResult>> ExtractAllProvider::FulfillSome() {
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
-  std::vector<const Expr*> predicates;
-  predicates.reserve(batch.size());
+  std::vector<CountBatch::Node> nodes;
+  nodes.reserve(batch.size());
   for (const CcRequest& request : batch) {
-    predicates.push_back(request.predicate.get());
+    nodes.push_back(CountBatch::NodeOf(request));
   }
-  BatchMatcher matcher(predicates);
-  results.reserve(batch.size());
-  for (const CcRequest& request : batch) {
-    results.emplace_back(request.node_id, CcTable(num_classes_));
-  }
+  CountBatch counts(nodes, schema_.class_column(), num_classes_);
 
   SQLCLASS_ASSIGN_OR_RETURN(
       std::unique_ptr<HeapFileReader> reader,
       HeapFileReader::Open(path_, schema_.num_columns(), &io_));
   CostCounters& cost = server_->cost_counters();
-  const int class_column = schema_.class_column();
-  Row row;
-  std::vector<int> matches;
-  while (true) {
-    SQLCLASS_ASSIGN_OR_RETURN(bool more, reader->Next(&row));
-    if (!more) break;
-    ++cost.mw_file_rows_read;
-    matcher.Match(row, &matches);
-    for (int pos : matches) {
-      results[pos].cc.AddRow(row, batch[pos].active_attrs, class_column);
-      cost.mw_cc_updates += batch[pos].active_attrs.size();
-    }
-  }
+  uint64_t rows_read = 0;
+  const Status scanned = CountAllRows(reader.get(), &counts, &rows_read);
+  cost.mw_file_rows_read += rows_read;
+  cost.mw_cc_updates += counts.CcUpdates();
+  SQLCLASS_RETURN_IF_ERROR(scanned);
   ++file_scans_;
+  results.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    results.emplace_back(batch[i].node_id, counts.Take(i));
+  }
   return results;
 }
 

@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
-#include <cstdlib>
+#include <optional>
+
+#include "common/env.h"
 
 namespace sqlclass {
 
@@ -80,10 +82,8 @@ int ThreadPool::HardwareConcurrency() {
 
 int ResolveParallelThreads(int configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("SQLCLASS_PARALLEL_SCAN_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
+  const std::optional<int64_t> env = EnvInt("SQLCLASS_PARALLEL_SCAN_THREADS");
+  if (env.has_value() && *env > 0) return static_cast<int>(*env);
   return ThreadPool::HardwareConcurrency();
 }
 

@@ -2,24 +2,24 @@
 
 namespace sqlclass {
 
-bool BatchMatcher::FlattenConjunction(const Expr& expr,
+bool BatchMatcher::FlattenConjunction(const Expr* expr,
                                       std::vector<Literal>* literals) {
-  switch (expr.kind()) {
+  if (expr == nullptr) return true;
+  switch (expr->kind()) {
     case ExprKind::kTrue:
       return true;  // contributes no literal
     case ExprKind::kColumnEq:
     case ExprKind::kColumnNe: {
-      if (!expr.bound()) return false;
       Literal literal;
-      literal.column = expr.BoundColumnIndex();
-      literal.equals = expr.kind() == ExprKind::kColumnEq;
-      literal.value = expr.literal();
+      literal.column = expr->BoundColumnIndex();
+      literal.equals = expr->kind() == ExprKind::kColumnEq;
+      literal.value = expr->literal();
       literals->push_back(literal);
       return true;
     }
     case ExprKind::kAnd:
-      for (const auto& child : expr.children()) {
-        if (!FlattenConjunction(*child, literals)) return false;
+      for (const auto& child : expr->children()) {
+        if (!FlattenConjunction(child.get(), literals)) return false;
       }
       return true;
     case ExprKind::kOr:
@@ -32,8 +32,8 @@ bool BatchMatcher::FlattenConjunction(const Expr& expr,
 BatchMatcher::BatchMatcher(const std::vector<const Expr*>& predicates) {
   for (size_t i = 0; i < predicates.size(); ++i) {
     std::vector<Literal> literals;
-    if (predicates[i] != nullptr &&
-        FlattenConjunction(*predicates[i], &literals)) {
+    if (predicates[i] != nullptr && predicates[i]->bound() &&
+        FlattenConjunction(predicates[i], &literals)) {
       Insert(literals, static_cast<int>(i));
     } else {
       fallback_.emplace_back(predicates[i], static_cast<int>(i));

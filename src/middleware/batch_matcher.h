@@ -39,9 +39,9 @@ class BatchMatcher {
   /// True when every predicate was trie-indexable (exposed for tests).
   bool fully_indexed() const { return fallback_.empty(); }
 
- private:
+  /// One column =/<> literal of a flattened conjunction.
   struct Literal {
-    int column = -1;     // resolved index (literals are built post-Bind)
+    int column = -1;     // bound column index; -1 if the literal is unbound
     bool equals = true;  // true: column == value, false: column != value
     Value value = 0;
 
@@ -54,14 +54,19 @@ class BatchMatcher {
     }
   };
 
+  /// The one "conjunction of column =/<> literals" flattener: appends the
+  /// literals of `expr` (null and TRUE contribute none) to `*literals` and
+  /// returns false if `expr` contains a disjunction or negation. Node
+  /// predicates never do; the bitmap engine serves exactly the shapes this
+  /// accepts.
+  static bool FlattenConjunction(const Expr* expr,
+                                 std::vector<Literal>* literals);
+
+ private:
   struct TrieNode {
     std::vector<std::pair<Literal, std::unique_ptr<TrieNode>>> children;
     std::vector<int> terminals;  // predicate indexes fully matched here
   };
-
-  /// Flattens `expr` into literals; false if not a pure conjunction.
-  static bool FlattenConjunction(const Expr& expr,
-                                 std::vector<Literal>* literals);
 
   void Insert(const std::vector<Literal>& literals, int index);
   void MatchRec(const TrieNode& node, const Value* values,

@@ -1,75 +1,23 @@
 #include "middleware/bitmap_scan.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/env.h"
 #include "storage/bitmap/bitmap.h"
 
 namespace sqlclass {
 
-namespace {
-
-struct Literal {
-  int column = -1;
-  Value value = 0;
-  bool equal = true;  // false: column <> value
-};
-
-/// Flattens a servable predicate into its literal list. Returns false on a
-/// non-conjunctive shape (callers gate on Servable, so this is defensive).
-bool CollectLiterals(const Expr* expr, std::vector<Literal>* out) {
-  if (expr == nullptr) return true;
-  switch (expr->kind()) {
-    case ExprKind::kTrue:
-      return true;
-    case ExprKind::kColumnEq:
-    case ExprKind::kColumnNe:
-      out->push_back(Literal{expr->BoundColumnIndex(), expr->literal(),
-                             expr->kind() == ExprKind::kColumnEq});
-      return true;
-    case ExprKind::kAnd:
-      for (const std::unique_ptr<Expr>& child : expr->children()) {
-        if (!CollectLiterals(child.get(), out)) return false;
-      }
-      return true;
-    case ExprKind::kOr:
-    case ExprKind::kNot:
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
-
 bool ResolveUseBitmapIndex(bool configured) {
-  const char* env = std::getenv("SQLCLASS_BITMAP_INDEX");
-  if (env == nullptr || env[0] == '\0') return configured;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
+  return EnvFlag("SQLCLASS_BITMAP_INDEX", configured);
 }
 
 bool BitmapCountScan::Servable(const Expr* predicate) {
-  if (predicate == nullptr) return true;
-  switch (predicate->kind()) {
-    case ExprKind::kTrue:
-    case ExprKind::kColumnEq:
-    case ExprKind::kColumnNe:
-      return true;
-    case ExprKind::kAnd:
-      for (const std::unique_ptr<Expr>& child : predicate->children()) {
-        if (!Servable(child.get())) return false;
-      }
-      return true;
-    case ExprKind::kOr:
-    case ExprKind::kNot:
-      return false;
-  }
-  return false;
+  std::vector<BatchMatcher::Literal> literals;
+  return BatchMatcher::FlattenConjunction(predicate, &literals);
 }
 
 Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
-                            std::vector<Node>* nodes, CostCounters* cost) {
+                            CountBatch* counts, CostCounters* cost) {
   const int class_column = schema.class_column();
   if (class_column < 0) {
     return Status::InvalidArgument("bitmap scan needs a class column");
@@ -82,14 +30,12 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
   std::vector<uint64_t> node_bm(words);
   std::vector<std::vector<uint64_t>> slices(
       num_classes, std::vector<uint64_t>(words));
-  std::vector<int64_t> counts(num_classes, 0);
+  std::vector<int64_t> class_counts(num_classes, 0);
 
-  for (Node& node : *nodes) {
-    if (node.cc == nullptr || node.active_attrs == nullptr) {
-      return Status::InvalidArgument("bitmap scan node missing cc/attrs");
-    }
-    std::vector<Literal> literals;
-    if (!CollectLiterals(node.predicate, &literals)) {
+  for (size_t pos = 0; pos < counts->size(); ++pos) {
+    std::vector<BatchMatcher::Literal> literals;
+    if (!BatchMatcher::FlattenConjunction(counts->predicates()[pos],
+                                          &literals)) {
       return Status::InvalidArgument(
           "bitmap scan cannot serve a non-conjunctive predicate");
     }
@@ -99,7 +45,7 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
     // no-op (no row carries the value). Unbound literals are a caller bug.
     FillAllRows(node_bm.data(), index->num_rows());
     bool node_empty = false;
-    for (const Literal& lit : literals) {
+    for (const BatchMatcher::Literal& lit : literals) {
       if (lit.column < 0) {
         return Status::InvalidArgument("bitmap scan predicate is not bound");
       }
@@ -107,13 +53,13 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
           lit.value >= 0 && static_cast<uint32_t>(lit.value) <
                                 index->cardinality(lit.column);
       if (!in_domain) {
-        if (lit.equal) node_empty = true;
+        if (lit.equals) node_empty = true;
         continue;
       }
       SQLCLASS_ASSIGN_OR_RETURN(const uint64_t* bm,
                                 index->BitmapWords(lit.column, lit.value));
       charges.mw_bitmap_words_read += words;
-      if (lit.equal) {
+      if (lit.equals) {
         FoldAnd(node_bm.data(), bm, words);
       } else {
         FoldAndNot(node_bm.data(), bm, words);
@@ -125,7 +71,7 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
     // Per-class slices of the node bitmap; their popcounts are the class
     // totals (and sum to the node's row count — the invariant the
     // middleware checks against request.data_size).
-    node.node_rows = 0;
+    CcTable cc(num_classes);
     for (int k = 0; k < num_classes; ++k) {
       SQLCLASS_ASSIGN_OR_RETURN(const uint64_t* class_bm,
                                 index->BitmapWords(class_column, k));
@@ -134,8 +80,7 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
       charges.mw_bitmap_and_ops += words;
       const uint64_t total = PopcountWords(slices[k].data(), words);
       charges.mw_bitmap_popcounts += words;
-      node.cc->AddClassTotal(k, static_cast<int64_t>(total));
-      node.node_rows += total;
+      cc.AddClassTotal(k, static_cast<int64_t>(total));
     }
 
     // Every (attribute value x class) count is one AND+popcount against
@@ -143,7 +88,7 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
     // pair occurs in the node's data, and only occurring classes are
     // added — the exact cell/count structure a row scan builds, which is
     // what makes the two paths' CC tables compare equal.
-    for (int attr : *node.active_attrs) {
+    for (int attr : counts->attrs(pos)) {
       const uint32_t card = index->cardinality(attr);
       for (uint32_t v = 0; v < card; ++v) {
         SQLCLASS_ASSIGN_OR_RETURN(
@@ -152,20 +97,21 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
         charges.mw_bitmap_words_read += words;
         int64_t any = 0;
         for (int k = 0; k < num_classes; ++k) {
-          counts[k] =
+          class_counts[k] =
               static_cast<int64_t>(AndPopcount(slices[k].data(), bm, words));
           charges.mw_bitmap_and_ops += words;
           charges.mw_bitmap_popcounts += words;
-          any += counts[k];
+          any += class_counts[k];
         }
         if (any == 0) continue;
         for (int k = 0; k < num_classes; ++k) {
-          if (counts[k] > 0) {
-            node.cc->Add(attr, static_cast<Value>(v), k, counts[k]);
+          if (class_counts[k] > 0) {
+            cc.Add(attr, static_cast<Value>(v), k, class_counts[k]);
           }
         }
       }
     }
+    counts->Assign(pos, std::move(cc));
   }
   return Status::OK();
 }

@@ -5,7 +5,7 @@
 
 #include "catalog/schema.h"
 #include "common/status.h"
-#include "mining/cc_table.h"
+#include "middleware/count_batch.h"
 #include "server/cost_model.h"
 #include "sql/expr.h"
 #include "storage/bitmap/bitmap_index.h"
@@ -27,25 +27,20 @@ bool ResolveUseBitmapIndex(bool configured);
 class BitmapCountScan {
  public:
   /// True iff `predicate` can be served from the index: null, TRUE, or a
-  /// (nested) conjunction of column =/<> literal tests. Disjunctions and
-  /// negations never occur in node predicates and are not servable.
+  /// (nested) conjunction of column =/<> literal tests — exactly the shapes
+  /// BatchMatcher::FlattenConjunction accepts. Disjunctions and negations
+  /// never occur in node predicates and are not servable.
   static bool Servable(const Expr* predicate);
 
-  /// One CC request inside a bitmap batch.
-  struct Node {
-    const Expr* predicate = nullptr;  // bound; null means TRUE
-    const std::vector<int>* active_attrs = nullptr;
-    CcTable* cc = nullptr;   // out: populated by Run
-    uint64_t node_rows = 0;  // out: popcount of the node bitmap
-  };
-
-  /// Builds every node's CC table from `index`. `cost` (nullable) takes
-  /// the logical mw_bitmap_* charges; physical reads land on the counters
-  /// the index reader was opened with. Charges are per node and
-  /// independent of the reader's cache state, so simulated cost is
-  /// deterministic across batchings and repeat runs.
-  [[nodiscard]] static Status Run(BitmapIndexReader* index, const Schema& schema,
-                    std::vector<Node>* nodes, CostCounters* cost);
+  /// Builds every node's CC table of `counts` from `index`; each node's
+  /// tally is the popcount of its node bitmap. `cost` (nullable) takes the
+  /// logical mw_bitmap_* charges; physical reads land on the counters the
+  /// index reader was opened with. Charges are per node and independent of
+  /// the reader's cache state, so simulated cost is deterministic across
+  /// batchings and repeat runs.
+  [[nodiscard]] static Status Run(BitmapIndexReader* index,
+                                  const Schema& schema, CountBatch* counts,
+                                  CostCounters* cost);
 };
 
 }  // namespace sqlclass

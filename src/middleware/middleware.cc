@@ -11,7 +11,7 @@
 
 #include "common/logging.h"
 #include "common/retry.h"
-#include "middleware/batch_matcher.h"
+#include "middleware/count_batch.h"
 #include "middleware/parallel_scan.h"
 #include "mining/cc_sql.h"
 
@@ -281,35 +281,26 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   bool use_bitmap = plan.from_bitmap;
   bool use_sample = plan.from_sample;
   bool use_shards = plan.from_shards;
-  std::vector<CcTable> ccs;
   std::vector<bool> fallback(n, false);
-  std::vector<bool> requeue(n, false);
   std::vector<bool> escalate(n, false);
-  std::vector<uint64_t> sample_matched(n, 0);
   std::vector<size_t> observed_bytes(n, 0);
-  int live_ccs = n;
   std::vector<std::optional<DataLocation>> stage_into(n);
   size_t cc_available = 0;
   uint64_t rows_since_check = 0;
   bool staging_fault = false;
 
-  std::vector<const Expr*> predicates;
-  predicates.reserve(n);
+  std::vector<CountBatch::Node> nodes;
+  nodes.reserve(n);
   for (const Pending& pending : batch) {
-    predicates.push_back(pending.request.predicate.get());
+    nodes.push_back(CountBatch::NodeOf(pending.request));
   }
-  BatchMatcher matcher(predicates);
+  CountBatch counts(nodes, class_column, num_classes_);
 
   auto reset_state = [&]() {
-    ccs.clear();
-    ccs.reserve(n);
-    for (int i = 0; i < n; ++i) ccs.emplace_back(num_classes_);
+    counts.Reset();
     std::fill(fallback.begin(), fallback.end(), false);
-    std::fill(requeue.begin(), requeue.end(), false);
     std::fill(escalate.begin(), escalate.end(), false);
-    std::fill(sample_matched.begin(), sample_matched.end(), 0);
     std::fill(observed_bytes.begin(), observed_bytes.end(), 0);
-    live_ccs = n;
     trace.rows_scanned = 0;
     rows_since_check = 0;
     staging_fault = false;
@@ -363,13 +354,15 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   // node standing — its CC alone does not fit in middleware memory — does
   // it switch to the SQL-based server-side implementation.
   auto check_overflow = [&]() {
-    while (live_ccs > 0) {
+    while (true) {
       size_t used = 0;
       int biggest = -1;
       size_t biggest_bytes = 0;
+      int live = 0;
       for (int i = 0; i < n; ++i) {
-        if (fallback[i] || requeue[i]) continue;
-        const size_t bytes = ccs[i].ApproxBytes();
+        if (counts.dropped(i)) continue;
+        ++live;
+        const size_t bytes = counts.cc(i).ApproxBytes();
         used += bytes;
         if (bytes >= biggest_bytes) {
           biggest_bytes = bytes;
@@ -378,40 +371,29 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
       }
       if (used <= cc_available || biggest < 0) break;
       observed_bytes[biggest] = biggest_bytes;
-      if (live_ccs == 1) {
-        fallback[biggest] = true;
-      } else {
-        requeue[biggest] = true;
-      }
-      CcTable empty(num_classes_);
-      ccs[biggest] = std::move(empty);
-      --live_ccs;
+      fallback[biggest] = live == 1;  // the rest are requeued
+      counts.Drop(biggest);
     }
   };
 
-  std::vector<int> matches;
+  // Counts one row and stages it into the store of every node it matched
+  // (evicted nodes included: their staged data serves the requeued retry).
   auto process_row = [&](const Row& row) -> Status {
     ++trace.rows_scanned;
-    matcher.Match(row, &matches);
-    for (int pos : matches) {
-      if (!fallback[pos] && !requeue[pos]) {
-        ccs[pos].AddRow(row, batch[pos].request.active_attrs, class_column);
-        cost.mw_cc_updates += batch[pos].request.active_attrs.size();
-      }
-      if (stage_into[pos].has_value()) {
-        const DataLocation& loc = *stage_into[pos];
-        if (loc.kind == LocationKind::kFile) {
-          Status appended = staging_->AppendToFileStore(loc.store_id, row);
-          if (!appended.ok()) {
-            // A failed staged *write* poisons only the stores, not the
-            // counts: flag it so the recovery driver rescans the same
-            // source with staging off rather than degrading the source.
-            staging_fault = true;
-            return appended;
-          }
-        } else {
-          staging_->AppendToMemoryStore(loc.store_id, row);
+    for (int pos : counts.CountRow(row.data())) {
+      if (!stage_into[pos].has_value()) continue;
+      const DataLocation& loc = *stage_into[pos];
+      if (loc.kind == LocationKind::kFile) {
+        Status appended = staging_->AppendToFileStore(loc.store_id, row);
+        if (!appended.ok()) {
+          // A failed staged *write* poisons only the stores, not the
+          // counts: flag it so the recovery driver rescans the same
+          // source with staging off rather than degrading the source.
+          staging_fault = true;
+          return appended;
         }
+      } else {
+        staging_->AppendToMemoryStore(loc.store_id, row);
       }
     }
     if (++rows_since_check >= config_.overflow_check_interval) {
@@ -434,10 +416,61 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     return Expr::Or(std::move(clauses));
   };
 
+  // The serial pass over the source, feeding every row through
+  // process_row (counting, staging, mid-scan overflow checks).
+  auto scan_serial = [&]() -> Status {
+    switch (source.kind) {
+      case LocationKind::kServer: {
+        std::string sql = "SELECT * FROM " + table_;
+        if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
+          sql += " WHERE " + filter->ToSql();
+        }
+        SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<ServerCursor> cursor,
+                                  server_->OpenCursorSql(sql));
+        Row row;
+        while (true) {
+          SQLCLASS_ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
+          if (!more) break;
+          SQLCLASS_RETURN_IF_ERROR(process_row(row));
+        }
+        ++stats_.server_scans;
+        break;
+      }
+      case LocationKind::kFile: {
+        SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> rows,
+                                  staging_->OpenFileStore(source.store_id));
+        Row row;
+        while (true) {
+          SQLCLASS_ASSIGN_OR_RETURN(bool more, rows->Next(&row));
+          if (!more) break;
+          SQLCLASS_RETURN_IF_ERROR(process_row(row));
+        }
+        ++stats_.file_scans;
+        break;
+      }
+      case LocationKind::kMemory: {
+        SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
+                                  staging_->GetMemoryStore(source.store_id));
+        const size_t rows = store->num_rows();
+        const int width = store->num_columns();
+        Row row(width);
+        for (size_t r = 0; r < rows; ++r) {
+          const Value* values = store->RowAt(r);
+          row.assign(values, values + width);
+          ++cost.mw_memory_rows_read;
+          SQLCLASS_RETURN_IF_ERROR(process_row(row));
+        }
+        ++stats_.memory_scans;
+        break;
+      }
+    }
+    return Status::OK();
+  };
+
   // ---- One pass over the chosen source (§4.1.1). Routes large scans with
   // no staging through the morsel-parallel path: it builds the identical CC
-  // tables and charges the identical logical costs (see DESIGN.md "Parallel
-  // counting"); overflow is checked once after the merge instead of
+  // tables and charges the identical logical costs (see DESIGN.md "Count
+  // kernel"); overflow is checked once after the merge instead of
   // mid-scan, which staging-free batches tolerate.
   auto run_pass = [&]() -> Status {
     // Rule 7 service: build every node's *sample* CC from the table's
@@ -448,15 +481,8 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     // this same FulfillSome call.
     if (use_sample && source.kind == LocationKind::kServer) {
       SQLCLASS_ASSIGN_OR_RETURN(SampleFileReader * reader, SampleReader());
-      std::vector<SampleCountScan::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
       SQLCLASS_RETURN_IF_ERROR(
-          SampleCountScan::Run(reader, schema_, &nodes, &cost));
-      for (int i = 0; i < n; ++i) sample_matched[i] = nodes[i].sample_rows;
+          SampleCountScan::Run(reader, schema_, &counts, &cost));
       trace.rows_scanned = reader->num_rows();
       trace.served_from_sample = true;
       return Status::OK();
@@ -469,14 +495,8 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     // identical CC tables the expensive way.
     if (use_bitmap && source.kind == LocationKind::kServer) {
       SQLCLASS_ASSIGN_OR_RETURN(BitmapIndexReader * index, BitmapReader());
-      std::vector<BitmapCountScan::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
       SQLCLASS_RETURN_IF_ERROR(
-          BitmapCountScan::Run(index, schema_, &nodes, &cost));
+          BitmapCountScan::Run(index, schema_, &counts, &cost));
       trace.rows_scanned = 0;  // counts, not rows, flowed from the source
       trace.served_from_bitmap = true;
       ++stats_.bitmap_scans;
@@ -491,12 +511,6 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     // recovery ladder, which re-serves the batch by an ordinary row scan.
     if (use_shards && source.kind == LocationKind::kServer) {
       SQLCLASS_ASSIGN_OR_RETURN(ShardCoordinator * coordinator, ShardSet());
-      std::vector<ShardCoordinator::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
       const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
       const int resolved =
           workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
@@ -509,7 +523,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
       ShardCoordinator::Result shard_result;
       const Status ran =
           coordinator->Run(resolved > 1 ? ScanPool(resolved) : nullptr,
-                           shard_transport_.get(), &nodes, &cost,
+                           shard_transport_.get(), &counts, &cost,
                            &shard_result);
       // RPC hardening activity is metered even when the pass ultimately
       // fails — the fault-injection tests reconcile these against the
@@ -542,13 +556,6 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
                               source_rows >= config_.parallel_scan_min_rows;
     if (use_parallel) {
       ParallelScanOptions options;
-      options.class_column = class_column;
-      options.num_classes = num_classes_;
-      options.matcher = &matcher;
-      options.node_attrs.reserve(n);
-      for (const Pending& pending : batch) {
-        options.node_attrs.push_back(&pending.request.active_attrs);
-      }
       std::unique_ptr<Expr> filter;  // must outlive the scan
       ParallelScanResult scan;
       switch (source.kind) {
@@ -566,7 +573,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
           SQLCLASS_ASSIGN_OR_RETURN(
               scan, ParallelCountScan::OverHeapFile(
                         ScanPool(scan_threads), path, schema_.num_columns(),
-                        options, &cost, &server_->io_counters()));
+                        options, &counts, &cost, &server_->io_counters()));
           ++stats_.server_scans;
           break;
         }
@@ -577,7 +584,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
           SQLCLASS_ASSIGN_OR_RETURN(
               scan, ParallelCountScan::OverHeapFile(
                         ScanPool(scan_threads), path, schema_.num_columns(),
-                        options, &cost, &staging_->io_counters()));
+                        options, &counts, &cost, &staging_->io_counters()));
           ++stats_.file_scans;
           break;
         }
@@ -586,60 +593,20 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
           SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
                                     staging_->GetMemoryStore(source.store_id));
           SQLCLASS_ASSIGN_OR_RETURN(
-              scan, ParallelCountScan::OverMemoryStore(ScanPool(scan_threads),
-                                                       *store, options, &cost));
+              scan, ParallelCountScan::OverMemoryStore(
+                        ScanPool(scan_threads), *store, options, &counts,
+                        &cost));
           ++stats_.memory_scans;
           break;
         }
       }
-      for (int i = 0; i < n; ++i) ccs[i] = std::move(scan.ccs[i]);
       trace.rows_scanned = scan.rows_delivered;
     } else {
-      switch (source.kind) {
-        case LocationKind::kServer: {
-          std::string sql = "SELECT * FROM " + table_;
-          if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
-            sql += " WHERE " + filter->ToSql();
-          }
-          SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<ServerCursor> cursor,
-                                    server_->OpenCursorSql(sql));
-          Row row;
-          while (true) {
-            SQLCLASS_ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-            if (!more) break;
-            SQLCLASS_RETURN_IF_ERROR(process_row(row));
-          }
-          ++stats_.server_scans;
-          break;
-        }
-        case LocationKind::kFile: {
-          SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> rows,
-                                    staging_->OpenFileStore(source.store_id));
-          Row row;
-          while (true) {
-            SQLCLASS_ASSIGN_OR_RETURN(bool more, rows->Next(&row));
-            if (!more) break;
-            SQLCLASS_RETURN_IF_ERROR(process_row(row));
-          }
-          ++stats_.file_scans;
-          break;
-        }
-        case LocationKind::kMemory: {
-          SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
-                                    staging_->GetMemoryStore(source.store_id));
-          const size_t rows = store->num_rows();
-          const int width = store->num_columns();
-          Row row(width);
-          for (size_t r = 0; r < rows; ++r) {
-            const Value* values = store->RowAt(r);
-            row.assign(values, values + width);
-            ++cost.mw_memory_rows_read;
-            SQLCLASS_RETURN_IF_ERROR(process_row(row));
-          }
-          ++stats_.memory_scans;
-          break;
-        }
-      }
+      const Status scanned = scan_serial();
+      // The kernel charges nothing: every row counted — also before a
+      // mid-pass fault — is charged here, once.
+      cost.mw_cc_updates += counts.CcUpdates();
+      SQLCLASS_RETURN_IF_ERROR(scanned);
     }
     return Status::OK();
   };
@@ -809,14 +776,15 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     const double exactness = ResolveApproxExactness(config_.approx.exactness);
     for (int pos = 0; pos < n; ++pos) {
       const SampleGateResult gate = EvaluateSampleGate(
-          ccs[pos], batch[pos].request.active_attrs,
-          config_.approx.gate_criterion, sample_matched[pos], confidence,
+          counts.cc(pos), batch[pos].request.active_attrs,
+          config_.approx.gate_criterion, counts.rows(pos), confidence,
           exactness);
       sample_decisions_.push_back({batch[pos].request.node_id, gate.accept,
                                    gate.gap, gate.threshold});
       if (gate.accept) {
-        ccs[pos] = ScaleCcToTotal(ccs[pos], batch[pos].request.active_attrs,
-                                  batch[pos].request.data_size);
+        counts.Assign(pos, ScaleCcToTotal(counts.cc(pos),
+                                          batch[pos].request.active_attrs,
+                                          batch[pos].request.data_size));
         ++stats_.sample_served_nodes;
       } else {
         escalate[pos] = true;
@@ -836,7 +804,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
       ++trace.escalated;
       continue;
     }
-    if (requeue[pos]) {
+    if (counts.dropped(pos) && !fallback[pos]) {
       // Evicted under memory pressure: return to the queue with a corrected
       // estimate (monotone growth guarantees termination — once alone in a
       // batch it either fits or takes the SQL path). If its data was staged
@@ -853,8 +821,9 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
       ++trace.requeued;
       continue;
     }
+    CcTable cc = counts.Take(pos);
     if (fallback[pos]) {
-      SQLCLASS_ASSIGN_OR_RETURN(ccs[pos], SqlFallback(batch[pos]));
+      SQLCLASS_ASSIGN_OR_RETURN(cc, SqlFallback(batch[pos]));
       ++stats_.sql_fallbacks;
       ++trace.sql_fallbacks;
     }
@@ -864,21 +833,20 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     // truth the client reconciles with. Exact-sized requests keep the
     // strict invariant.
     if (!pending.request.data_size_is_estimate &&
-        static_cast<uint64_t>(ccs[pos].TotalRows()) !=
-            pending.request.data_size) {
+        static_cast<uint64_t>(cc.TotalRows()) != pending.request.data_size) {
       return Status::Internal(
-          "counted " + std::to_string(ccs[pos].TotalRows()) +
+          "counted " + std::to_string(cc.TotalRows()) +
           " rows for node " + std::to_string(pending.request.node_id) +
           ", expected " + std::to_string(pending.request.data_size));
     }
-    estimator_.RecordCounted(pending.request.node_id, ccs[pos],
-                             static_cast<uint64_t>(ccs[pos].TotalRows()),
+    estimator_.RecordCounted(pending.request.node_id, cc,
+                             static_cast<uint64_t>(cc.TotalRows()),
                              pending.request.active_attrs);
     estimator_.SetLocation(pending.request.node_id,
                            stage_into[pos].has_value() ? *stage_into[pos]
                                                        : source);
     unreleased_.insert(pending.request.node_id);
-    results.emplace_back(pending.request.node_id, std::move(ccs[pos]));
+    results.emplace_back(pending.request.node_id, std::move(cc));
     results.back().approximate = trace.served_from_sample;
   }
   trace_.push_back(trace);

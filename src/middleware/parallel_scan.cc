@@ -10,63 +10,55 @@ namespace sqlclass {
 
 namespace {
 
-/// Everything one worker accumulates privately during a scan. Merged on the
-/// coordinator thread after the join, in worker order.
-struct WorkerTally {
-  std::vector<CcTable> ccs;
-  std::vector<uint64_t> node_matches;
-  uint64_t rows_scanned = 0;
-  uint64_t rows_delivered = 0;
-  uint64_t cc_updates = 0;
-  Status status;
-};
-
-WorkerTally MakeTally(const ParallelScanOptions& options) {
-  WorkerTally tally;
-  const size_t n = options.node_attrs.size();
-  tally.ccs.reserve(n);
-  for (size_t i = 0; i < n; ++i) tally.ccs.emplace_back(options.num_classes);
-  tally.node_matches.assign(n, 0);
-  return tally;
+/// Workers worth starting for `morsels` units of work on `pool`.
+int WorkerCount(ThreadPool* pool, size_t morsels) {
+  int workers = pool != nullptr ? pool->size() : 1;
+  if (static_cast<size_t>(workers) > morsels) {
+    workers = static_cast<int>(morsels);
+  }
+  return workers < 1 ? 1 : workers;
 }
 
-void CountRow(const Value* values, const ParallelScanOptions& options,
-              std::vector<int>* matches, WorkerTally* tally) {
-  ++tally->rows_scanned;
-  if (options.filter != nullptr && !options.filter->Eval(values)) return;
-  ++tally->rows_delivered;
-  options.matcher->Match(values, matches);
-  for (int pos : *matches) {
-    const std::vector<int>& attrs = *options.node_attrs[pos];
-    tally->ccs[pos].AddRow(values, attrs, options.class_column);
-    tally->cc_updates += attrs.size();
-    ++tally->node_matches[pos];
-  }
-}
+/// Runs `scan(w, count)` on `workers` workers, where `count(values)` feeds
+/// one row through the pushdown filter into worker w's private partial of
+/// `counts`. After the join the partials fold into `counts` in worker order
+/// and the logical costs are charged once. CC cells are int64 sums over
+/// disjoint row partitions, so the merged tables equal a serial scan's
+/// regardless of morsel assignment.
+template <typename Scan>
+StatusOr<ParallelScanResult> RunWorkers(ThreadPool* pool, int workers,
+                                        const ParallelScanOptions& options,
+                                        int num_columns, CountBatch* counts,
+                                        CostCounters* cost, Scan scan) {
+  std::vector<CountBatch> partials;
+  partials.reserve(workers);
+  for (int w = 0; w < workers; ++w) partials.push_back(counts->Partial());
+  std::vector<ParallelScanResult> tallies(workers);
+  std::vector<Status> statuses(workers);
 
-/// Folds the per-worker tallies (in worker order) and charges the logical
-/// costs once. CC cells are int64 sums over disjoint row partitions, so the
-/// merged tables equal a serial scan's regardless of morsel assignment.
-StatusOr<ParallelScanResult> MergeTallies(std::vector<WorkerTally> tallies,
-                                          const ParallelScanOptions& options,
-                                          int num_columns,
-                                          CostCounters* cost) {
-  for (WorkerTally& tally : tallies) {
-    SQLCLASS_RETURN_IF_ERROR(tally.status);
+  auto run_worker = [&](int w) {
+    CountBatch& partial = partials[w];
+    ParallelScanResult& tally = tallies[w];
+    statuses[w] = scan(w, [&](const Value* values) {
+      ++tally.rows_scanned;
+      if (options.filter != nullptr && !options.filter->Eval(values)) return;
+      ++tally.rows_delivered;
+      partial.CountRow(values);
+    });
+  };
+  if (pool != nullptr && workers > 1) {
+    pool->RunTasks(workers, run_worker);
+  } else {
+    run_worker(0);
   }
+
+  for (const Status& status : statuses) SQLCLASS_RETURN_IF_ERROR(status);
   ParallelScanResult result;
-  const size_t n = options.node_attrs.size();
-  result.ccs.reserve(n);
-  for (size_t i = 0; i < n; ++i) result.ccs.emplace_back(options.num_classes);
-  result.node_matches.assign(n, 0);
-  for (WorkerTally& tally : tallies) {
-    for (size_t i = 0; i < n; ++i) {
-      result.ccs[i].Merge(tally.ccs[i]);
-      result.node_matches[i] += tally.node_matches[i];
-    }
-    result.rows_scanned += tally.rows_scanned;
-    result.rows_delivered += tally.rows_delivered;
-    result.cc_updates += tally.cc_updates;
+  for (int w = 0; w < workers; ++w) {
+    counts->Merge(partials[w]);
+    result.rows_scanned += tallies[w].rows_scanned;
+    result.rows_delivered += tallies[w].rows_delivered;
+    result.cc_updates += partials[w].CcUpdates();
   }
   if (cost != nullptr) {
     if (options.charge.server_row_evaluated) {
@@ -92,7 +84,8 @@ StatusOr<ParallelScanResult> MergeTallies(std::vector<WorkerTally> tallies,
 
 StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
     ThreadPool* pool, const std::string& path, int num_columns,
-    const ParallelScanOptions& options, CostCounters* cost, IoCounters* io) {
+    const ParallelScanOptions& options, CountBatch* counts, CostCounters* cost,
+    IoCounters* io) {
   const int pool_threads = pool != nullptr ? pool->size() : 1;
 
   // Per-worker physical counters: IoCounters is a plain struct, so workers
@@ -105,12 +98,7 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
       HeapFileReader::Open(path, num_columns, &local_io[0]));
   const std::vector<PageRange> morsels =
       MakePageMorsels(first->num_pages(), options.pages_per_morsel);
-
-  int workers = pool_threads;
-  if (static_cast<size_t>(workers) > morsels.size()) {
-    workers = static_cast<int>(morsels.size());
-  }
-  if (workers < 1) workers = 1;
+  const int workers = WorkerCount(pool, morsels.size());
 
   std::vector<std::unique_ptr<HeapFileReader>> readers;
   readers.reserve(workers);
@@ -122,80 +110,48 @@ StatusOr<ParallelScanResult> ParallelCountScan::OverHeapFile(
     readers.push_back(std::move(reader));
   }
 
-  std::vector<WorkerTally> tallies;
-  tallies.reserve(workers);
-  for (int w = 0; w < workers; ++w) tallies.push_back(MakeTally(options));
-
   std::atomic<size_t> next_morsel{0};
-  auto run_worker = [&](int w) {
-    WorkerTally& tally = tallies[w];
-    HeapFileReader* reader = readers[w].get();
-    RowBatch batch;
-    std::vector<int> matches;
-    while (true) {
-      const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
-      if (m >= morsels.size()) break;
-      for (uint64_t page = morsels[m].begin; page < morsels[m].end; ++page) {
-        Status status = reader->ReadPageInto(page, &batch);
-        if (!status.ok()) {
-          tally.status = std::move(status);
-          return;
+  StatusOr<ParallelScanResult> result = RunWorkers(
+      pool, workers, options, num_columns, counts, cost,
+      [&](int w, auto&& count) -> Status {
+        HeapFileReader* reader = readers[w].get();
+        RowBatch batch;
+        while (true) {
+          const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
+          if (m >= morsels.size()) return Status::OK();
+          for (uint64_t page = morsels[m].begin; page < morsels[m].end;
+               ++page) {
+            SQLCLASS_RETURN_IF_ERROR(reader->ReadPageInto(page, &batch));
+            const size_t rows = batch.num_rows();
+            for (size_t r = 0; r < rows; ++r) count(batch.RowAt(r));
+          }
         }
-        const size_t rows = batch.num_rows();
-        for (size_t r = 0; r < rows; ++r) {
-          CountRow(batch.RowAt(r), options, &matches, &tally);
-        }
-      }
-    }
-  };
-
-  if (pool != nullptr && workers > 1) {
-    pool->RunTasks(workers, run_worker);
-  } else {
-    run_worker(0);
-  }
+      });
 
   if (io != nullptr) {
     for (int w = 0; w < workers; ++w) io->Add(local_io[w]);
   }
-  return MergeTallies(std::move(tallies), options, num_columns, cost);
+  return result;
 }
 
 StatusOr<ParallelScanResult> ParallelCountScan::OverMemoryStore(
     ThreadPool* pool, const InMemoryRowStore& store,
-    const ParallelScanOptions& options, CostCounters* cost) {
+    const ParallelScanOptions& options, CountBatch* counts,
+    CostCounters* cost) {
   const std::vector<std::pair<size_t, size_t>> morsels =
       store.RowMorsels(options.rows_per_morsel);
-
-  int workers = pool != nullptr ? pool->size() : 1;
-  if (static_cast<size_t>(workers) > morsels.size()) {
-    workers = static_cast<int>(morsels.size());
-  }
-  if (workers < 1) workers = 1;
-
-  std::vector<WorkerTally> tallies;
-  tallies.reserve(workers);
-  for (int w = 0; w < workers; ++w) tallies.push_back(MakeTally(options));
-
   std::atomic<size_t> next_morsel{0};
-  auto run_worker = [&](int w) {
-    WorkerTally& tally = tallies[w];
-    std::vector<int> matches;
-    while (true) {
-      const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
-      if (m >= morsels.size()) break;
-      for (size_t r = morsels[m].first; r < morsels[m].second; ++r) {
-        CountRow(store.RowAt(r), options, &matches, &tally);
-      }
-    }
-  };
-
-  if (pool != nullptr && workers > 1) {
-    pool->RunTasks(workers, run_worker);
-  } else {
-    run_worker(0);
-  }
-  return MergeTallies(std::move(tallies), options, store.num_columns(), cost);
+  return RunWorkers(
+      pool, WorkerCount(pool, morsels.size()), options, store.num_columns(),
+      counts, cost, [&](int, auto&& count) -> Status {
+        while (true) {
+          const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
+          if (m >= morsels.size()) return Status::OK();
+          for (size_t r = morsels[m].first; r < morsels[m].second; ++r) {
+            count(store.RowAt(r));
+          }
+        }
+      });
 }
 
 }  // namespace sqlclass

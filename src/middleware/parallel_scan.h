@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "middleware/batch_matcher.h"
-#include "mining/cc_table.h"
+#include "middleware/count_batch.h"
 #include "server/cost_model.h"
 #include "sql/expr.h"
 #include "storage/io_counters.h"
@@ -38,16 +36,6 @@ struct ParallelScanOptions {
   uint64_t pages_per_morsel = 4;
   size_t rows_per_morsel = 8192;
 
-  int class_column = -1;
-  int num_classes = 0;
-
-  /// Routes rows to batch nodes; read-only and shared by all workers.
-  const BatchMatcher* matcher = nullptr;
-
-  /// node_attrs[i]: attribute columns counted for the node behind matcher
-  /// predicate i. Pointees must outlive the scan.
-  std::vector<const std::vector<int>*> node_attrs;
-
   /// Server-side pushdown filter (may be null). Rows failing it are charged
   /// the per-row evaluation but never delivered, matched, or counted —
   /// exactly the ServerCursor contract.
@@ -57,25 +45,19 @@ struct ParallelScanOptions {
 };
 
 struct ParallelScanResult {
-  /// One merged CC table per node, byte-identical to a serial scan (cell
-  /// counts are commutative int64 sums; workers merge in fixed order).
-  std::vector<CcTable> ccs;
-
-  /// Rows matched per node (drives per-session CC-update attribution).
-  std::vector<uint64_t> node_matches;
-
   uint64_t rows_scanned = 0;    // rows read from the source (pre-filter)
   uint64_t rows_delivered = 0;  // rows passing the filter
   uint64_t cc_updates = 0;      // total (node, attribute) bumps
 };
 
-/// Morsel-parallel counting scan (tentpole of the parallel-counting design;
-/// see DESIGN.md "Parallel counting"). Each worker owns a private reader,
-/// row batch, and per-node CC accumulators; morsels are claimed off one
-/// atomic counter; accumulators merge in worker order after the join.
-/// Logical costs are charged to `cost` once, post-merge, in totals equal to
-/// the serial path's; physical IoCounters (not part of the simulated cost
-/// model) are merged from per-worker locals.
+/// Morsel-parallel counting scan (DESIGN.md "Count kernel"). Each worker
+/// owns a private reader and a CountBatch partial of `counts`; morsels are
+/// claimed off one atomic counter; partials merge into `counts` in worker
+/// order after the join, so the tables are byte-identical to a serial scan.
+/// Logical costs — including mw_cc_updates — are charged to `cost` once,
+/// post-merge, in totals equal to the serial path's; a failed scan charges
+/// none and leaves `counts` untouched. Physical IoCounters (not part of the
+/// simulated cost model) are merged from per-worker locals.
 class ParallelCountScan {
  public:
   /// Scans the heap file at `path` (a server table or a sealed staged
@@ -83,13 +65,15 @@ class ParallelCountScan {
   /// reader — so every page is physically read exactly once per scan.
   [[nodiscard]] static StatusOr<ParallelScanResult> OverHeapFile(
       ThreadPool* pool, const std::string& path, int num_columns,
-      const ParallelScanOptions& options, CostCounters* cost, IoCounters* io);
+      const ParallelScanOptions& options, CountBatch* counts,
+      CostCounters* cost, IoCounters* io);
 
   /// Scans an in-memory staged store; rows are already decoded, so workers
   /// count straight off the store's contiguous values.
   [[nodiscard]] static StatusOr<ParallelScanResult> OverMemoryStore(
       ThreadPool* pool, const InMemoryRowStore& store,
-      const ParallelScanOptions& options, CostCounters* cost);
+      const ParallelScanOptions& options, CountBatch* counts,
+      CostCounters* cost);
 };
 
 }  // namespace sqlclass

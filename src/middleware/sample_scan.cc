@@ -2,31 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
+#include <optional>
 
-#include "middleware/batch_matcher.h"
+#include "common/env.h"
 
 namespace sqlclass {
 
 namespace {
 
-bool EnvFlagOff(const char* env) {
-  return std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-         std::strcmp(env, "off") == 0;
-}
-
-/// Parses `name` as a double; returns `configured` when unset or unparsable
-/// or when the parsed value fails `valid`.
+/// `name` as a double; `configured` when unset or unparsable or when the
+/// parsed value fails `valid`.
 template <typename Pred>
 double ResolveDoubleEnv(const char* name, double configured, Pred valid) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !std::isfinite(parsed)) return configured;
-  return valid(parsed) ? parsed : configured;
+  const std::optional<double> env = EnvDouble(name);
+  return env.has_value() && valid(*env) ? *env : configured;
 }
 
 /// Largest-remainder apportionment: scales `counts` (non-negative, summing
@@ -64,9 +54,7 @@ std::vector<int64_t> Apportion(const std::vector<int64_t>& counts,
 }  // namespace
 
 bool ResolveApproxEnabled(bool configured) {
-  const char* env = std::getenv("SQLCLASS_APPROX");
-  if (env == nullptr || env[0] == '\0') return configured;
-  return !EnvFlagOff(env);
+  return EnvFlag("SQLCLASS_APPROX", configured);
 }
 
 double ResolveApproxRatio(double configured) {
@@ -85,7 +73,7 @@ double ResolveApproxExactness(double configured) {
 }
 
 Status SampleCountScan::Run(SampleFileReader* reader, const Schema& schema,
-                            std::vector<Node>* nodes, CostCounters* cost) {
+                            CountBatch* counts, CostCounters* cost) {
   const int class_column = schema.class_column();
   if (class_column < 0) {
     return Status::InvalidArgument("sample scan needs a class column");
@@ -96,17 +84,6 @@ Status SampleCountScan::Run(SampleFileReader* reader, const Schema& schema,
   CostCounters scratch;  // charge sink when the caller passes none
   CostCounters& charges = cost != nullptr ? *cost : scratch;
 
-  std::vector<const Expr*> predicates;
-  predicates.reserve(nodes->size());
-  for (Node& node : *nodes) {
-    if (node.cc == nullptr || node.active_attrs == nullptr) {
-      return Status::InvalidArgument("sample scan node missing cc/attrs");
-    }
-    node.sample_rows = 0;
-    predicates.push_back(node.predicate);
-  }
-  BatchMatcher matcher(predicates);
-
   SQLCLASS_ASSIGN_OR_RETURN(const Value* rows, reader->SampleRows());
   const uint64_t sample_rows = reader->num_rows();
   const int width = schema.num_columns();
@@ -114,17 +91,10 @@ Status SampleCountScan::Run(SampleFileReader* reader, const Schema& schema,
   // Every node's predicate is evaluated against every sample row, so the
   // logical charge is per node and independent of how requests were
   // batched — the same invariance contract the bitmap path keeps.
-  charges.mw_sample_rows_read += sample_rows * nodes->size();
+  charges.mw_sample_rows_read += sample_rows * counts->size();
 
-  std::vector<int> matches;
   for (uint64_t r = 0; r < sample_rows; ++r) {
-    const Value* values = rows + r * width;
-    matcher.Match(values, &matches);
-    for (int pos : matches) {
-      Node& node = (*nodes)[pos];
-      node.cc->AddRow(values, *node.active_attrs, class_column);
-      ++node.sample_rows;
-    }
+    counts->CountRow(rows + r * width);
   }
   return Status::OK();
 }

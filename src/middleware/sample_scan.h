@@ -7,6 +7,7 @@
 #include "catalog/schema.h"
 #include "common/status.h"
 #include "middleware/config.h"
+#include "middleware/count_batch.h"
 #include "mining/cc_table.h"
 #include "mining/split.h"
 #include "server/cost_model.h"
@@ -41,20 +42,15 @@ double ResolveApproxExactness(double configured);
 /// exact answer.
 class SampleCountScan {
  public:
-  /// One CC request inside a sample batch.
-  struct Node {
-    const Expr* predicate = nullptr;  // bound; null means TRUE
-    const std::vector<int>* active_attrs = nullptr;
-    CcTable* cc = nullptr;        // out: sample counts, unscaled
-    uint64_t sample_rows = 0;     // out: sample rows matching the predicate
-  };
-
-  /// Builds every node's sample CC from `reader`. `cost` (nullable) takes
+  /// Counts the scramble into `counts`: each node's table holds its sample
+  /// counts, unscaled, and its tally the sample rows matching its
+  /// predicate. `cost` (nullable) takes
   /// mw_sample_rows_read charges — one per sample row *per node*, so the
   /// simulated cost is batching-invariant; physical page reads land on the
   /// counters the reader was opened with.
-  [[nodiscard]] static Status Run(SampleFileReader* reader, const Schema& schema,
-                    std::vector<Node>* nodes, CostCounters* cost);
+  [[nodiscard]] static Status Run(SampleFileReader* reader,
+                                  const Schema& schema, CountBatch* counts,
+                                  CostCounters* cost);
 };
 
 /// Outcome of the confidence-bounded split-selection gate for one node.

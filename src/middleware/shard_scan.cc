@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
+#include "common/env.h"
 #include "common/fault_injector.h"
 #include "storage/heap_file.h"
 #include "storage/row_batch.h"
@@ -11,14 +13,9 @@ namespace sqlclass {
 
 namespace {
 
-bool EnvFlagOff(const char* env) {
-  return std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-         std::strcmp(env, "off") == 0;
-}
-
 /// Scans the heap file at `path` — the task's shard heap, or its
-/// byte-identical replica during recovery — folding matching rows into the
-/// task's partial CC tables. Runs on a pool thread: everything it touches
+/// byte-identical replica during recovery — counting every row into the
+/// task's CountBatch partial. Runs on a pool thread: everything it touches
 /// is task-private or read-only shared. The `shard/read` fault point
 /// guards the scan; any failure marks the source dead and the coordinator
 /// climbs its recovery ladder (replica, then primary re-scan).
@@ -36,21 +33,15 @@ Status ScanShardHeapFile(const ShardTask& task, const std::string& path) {
                             path);
   }
   RowBatch batch;
-  std::vector<int> matches;
   uint64_t rows = 0;
   while (true) {
     SQLCLASS_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
     if (!more) break;
     const size_t batch_rows = batch.num_rows();
     for (size_t r = 0; r < batch_rows; ++r) {
-      const Value* values = batch.RowAt(r);
-      task.matcher->Match(values, &matches);
-      for (int pos : matches) {
-        (*task.partials)[pos].AddRow(values, *(*task.node_attrs)[pos],
-                                     task.class_column);
-      }
-      ++rows;
+      task.counts->CountRow(batch.RowAt(r));
     }
+    rows += batch_rows;
   }
   *task.rows_scanned = rows;
   return Status::OK();
@@ -59,27 +50,18 @@ Status ScanShardHeapFile(const ShardTask& task, const std::string& path) {
 }  // namespace
 
 bool ResolveShardingEnabled(bool configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  return !EnvFlagOff(env);
+  return EnvFlag("SQLCLASS_SHARDS", configured);
 }
 
 int ResolveShardWorkers(int configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_WORKERS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 0) return configured;
-  return static_cast<int>(parsed);
+  const std::optional<int64_t> env = EnvInt("SQLCLASS_SHARDS_WORKERS");
+  return env.has_value() && *env >= 0 ? static_cast<int>(*env) : configured;
 }
 
 uint64_t ResolveShardMinRows(uint64_t configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_MIN_ROWS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 0) return configured;
-  return static_cast<uint64_t>(parsed);
+  const std::optional<int64_t> env = EnvInt("SQLCLASS_SHARDS_MIN_ROWS");
+  return env.has_value() && *env >= 0 ? static_cast<uint64_t>(*env)
+                                      : configured;
 }
 
 ShardTransportKind ResolveShardTransport(ShardTransportKind configured) {
@@ -96,22 +78,13 @@ ShardTransportKind ResolveShardTransport(ShardTransportKind configured) {
 }
 
 int ResolveShardRpcDeadlineMs(int configured) {
-  const char* env = std::getenv("SQLCLASS_SHARDS_RPC_DEADLINE_MS");
-  if (env == nullptr || env[0] == '\0') return configured;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed <= 0) return configured;
-  return static_cast<int>(parsed);
+  const std::optional<int64_t> env = EnvInt("SQLCLASS_SHARDS_RPC_DEADLINE_MS");
+  return env.has_value() && *env > 0 ? static_cast<int>(*env) : configured;
 }
 
 Status InProcessShardTransport::RunShard(const ShardTask& task) {
   SQLCLASS_FAULT_POINT(faults::kShardWorker);
   return ScanShardHeapFile(task, task.shard_heap_path);
-}
-
-uint64_t ShardMerger::ShardMergeCells(CcTable* into, const CcTable& partial) {
-  into->Merge(partial);
-  return partial.NumEntries();
 }
 
 ShardCoordinator::ShardCoordinator(std::string heap_path, const Schema* schema,
@@ -139,51 +112,32 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Open(
 }
 
 Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
-                             std::vector<Node>* nodes, CostCounters* cost,
+                             CountBatch* counts, CostCounters* cost,
                              Result* result) {
-  const int class_column = schema_->class_column();
-  const int num_classes = schema_->attribute(class_column).cardinality;
   CostCounters scratch;  // charge sink when the caller passes none
   CostCounters& charges = cost != nullptr ? *cost : scratch;
 
-  std::vector<const Expr*> predicates;
-  std::vector<const std::vector<int>*> node_attrs;
-  predicates.reserve(nodes->size());
-  node_attrs.reserve(nodes->size());
-  for (Node& node : *nodes) {
-    if (node.cc == nullptr || node.active_attrs == nullptr) {
-      return Status::InvalidArgument("shard scan node missing cc/attrs");
-    }
-    predicates.push_back(node.predicate);
-    node_attrs.push_back(node.active_attrs);
-  }
-  BatchMatcher matcher(predicates);
-
   SQLCLASS_ASSIGN_OR_RETURN(const ShardInfo* entries, map_->ShardRows());
   const uint32_t shards = map_->num_shards();
-  const size_t n = nodes->size();
+  const size_t n = counts->size();
 
-  // Per-shard private state: partial CC tables, row tallies, physical IO,
+  // Per-shard private state: a CountBatch partial, row tally, physical IO,
   // and the outcome status. Workers write only their own shard's slots.
-  std::vector<std::vector<CcTable>> partials(shards);
+  std::vector<CountBatch> partials;
+  partials.reserve(shards);
   std::vector<uint64_t> shard_rows(shards, 0);
   std::vector<IoCounters> shard_io(shards);
   std::vector<Status> shard_status(shards);
   std::vector<ShardTask> tasks(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    partials[s].reserve(n);
-    for (size_t i = 0; i < n; ++i) partials[s].emplace_back(num_classes);
+    partials.push_back(counts->Partial());
     ShardTask& task = tasks[s];
     task.shard = s;
     task.shard_heap_path = ShardHeapPathFor(heap_path_, s);
     task.expected_rows = entries[s].rows;
     task.num_columns = schema_->num_columns();
-    task.class_column = class_column;
-    task.num_classes = num_classes;
-    task.matcher = &matcher;
-    task.node_attrs = &node_attrs;
-    task.predicates = &predicates;
-    task.partials = &partials[s];
+    task.predicates = &counts->predicates();
+    task.counts = &partials[s];
     task.rows_scanned = &shard_rows[s];
     task.io = &shard_io[s];
   }
@@ -201,15 +155,14 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   // shard-file fault, stale row count): first its replica file — a
   // byte-identical copy written at shard-set build time, scanned exactly
   // like the shard heap — then a re-scan of the primary heap file
-  // restricted to the rows the scheme routed to it. Only a failed
-  // *primary* re-scan fails the pass — that is the middleware's
-  // shard-fallback rung.
+  // restricted to the rows the scheme routed to it. Each rung starts from
+  // an empty partial. Only a failed *primary* re-scan fails the pass —
+  // that is the middleware's shard-fallback rung.
   int rescans = 0;
   int replica_rescans = 0;
   for (uint32_t s = 0; s < shards; ++s) {
     if (shard_status[s].ok()) continue;
-    partials[s].clear();
-    for (size_t i = 0; i < n; ++i) partials[s].emplace_back(num_classes);
+    partials[s].Reset();
     shard_rows[s] = 0;
     const Status from_replica =
         ScanShardHeapFile(tasks[s], ShardReplicaPathFor(heap_path_, s));
@@ -217,10 +170,7 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
       ++replica_rescans;
       continue;
     }
-    // A missing, corrupt, or stale replica leaves partially-built partials
-    // behind; rebuild them from scratch off the primary.
-    partials[s].clear();
-    for (size_t i = 0; i < n; ++i) partials[s].emplace_back(num_classes);
+    partials[s].Reset();
     shard_rows[s] = 0;
     SQLCLASS_RETURN_IF_ERROR(RescanFromPrimary(s, tasks[s]));
     ++rescans;
@@ -229,16 +179,12 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   // Fixed shard order makes the merge independent of worker scheduling:
   // the merged tables are byte-identical to an unsharded scan's at every
   // shard and thread count.
-  for (size_t i = 0; i < n; ++i) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      ShardMerger::ShardMergeCells((*nodes)[i].cc, partials[s][i]);
-    }
-  }
+  for (uint32_t s = 0; s < shards; ++s) counts->Merge(partials[s]);
 
   uint64_t total_rows_scanned = 0;
   for (uint32_t s = 0; s < shards; ++s) total_rows_scanned += shard_rows[s];
   uint64_t merged_cells = 0;
-  for (size_t i = 0; i < n; ++i) merged_cells += (*nodes)[i].cc->NumEntries();
+  for (size_t i = 0; i < n; ++i) merged_cells += counts->cc(i).NumEntries();
 
   // Logical charges, once post-merge: every base row is counted against
   // every node exactly once across all shards, and merge cells meter the
@@ -270,7 +216,6 @@ Status ShardCoordinator::RescanFromPrimary(uint32_t shard,
   const ShardScheme scheme = map_->scheme();
   const uint32_t shards = map_->num_shards();
   RowBatch batch;
-  std::vector<int> matches;
   uint64_t ordinal = 0;
   uint64_t rows = 0;
   while (true) {
@@ -279,12 +224,7 @@ Status ShardCoordinator::RescanFromPrimary(uint32_t shard,
     const size_t batch_rows = batch.num_rows();
     for (size_t r = 0; r < batch_rows; ++r, ++ordinal) {
       if (ShardForRow(scheme, ordinal, shards) != shard) continue;
-      const Value* values = batch.RowAt(r);
-      task.matcher->Match(values, &matches);
-      for (int pos : matches) {
-        (*task.partials)[pos].AddRow(values, *(*task.node_attrs)[pos],
-                                     task.class_column);
-      }
+      task.counts->CountRow(batch.RowAt(r));
       ++rows;
     }
   }

@@ -9,9 +9,8 @@
 #include "catalog/schema.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "middleware/batch_matcher.h"
 #include "middleware/config.h"
-#include "mining/cc_table.h"
+#include "middleware/count_batch.h"
 #include "server/cost_model.h"
 #include "shard/shard_map.h"
 #include "sql/expr.h"
@@ -45,27 +44,23 @@ ShardTransportKind ResolveShardTransport(ShardTransportKind configured);
 int ResolveShardRpcDeadlineMs(int configured);
 
 /// The work order one shard worker executes: scan the shard heap file and
-/// build a partial CC table per batch node. Everything a worker touches is
-/// either owned by it (`partials`, `rows_scanned`, `io`) or read-only and
-/// shared (`matcher`, `node_attrs`), so tasks for distinct shards run
-/// concurrently without synchronization.
+/// count it into the shard's CountBatch partial. Everything a worker
+/// touches is either owned by it (`counts`, `rows_scanned`, `io`) or
+/// read-only and shared (the partial's plan, `predicates`), so tasks for
+/// distinct shards run concurrently without synchronization.
 struct ShardTask {
   uint32_t shard = 0;
   std::string shard_heap_path;
   uint64_t expected_rows = 0;  // from the distribution map; mismatch = stale
   int num_columns = 0;
-  int class_column = 0;
-  int num_classes = 0;
-  const BatchMatcher* matcher = nullptr;
-  const std::vector<const std::vector<int>*>* node_attrs = nullptr;
-  /// Per-node bound predicates (null entry = TRUE), parallel to
-  /// `node_attrs`. The in-process transport ignores these (the matcher
-  /// already encodes them); the subprocess transport serializes them so
-  /// the worker process can evaluate rows without the coordinator's
-  /// matcher.
+  /// Per-node bound predicates (null entry = TRUE), parallel to the nodes
+  /// of `counts`. The in-process transport ignores these (the partial's
+  /// matcher already encodes them); the subprocess transport serializes
+  /// them so the worker process can evaluate rows without the
+  /// coordinator's matcher.
   const std::vector<const Expr*>* predicates = nullptr;
-  std::vector<CcTable>* partials = nullptr;  // out: one per node, zeroed
-  uint64_t* rows_scanned = nullptr;          // out
+  CountBatch* counts = nullptr;      // out: this shard's partial, zeroed
+  uint64_t* rows_scanned = nullptr;  // out
   IoCounters* io = nullptr;                  // out: worker-private physical IO
 };
 
@@ -112,17 +107,6 @@ class InProcessShardTransport : public ShardTransport {
   [[nodiscard]] Status RunShard(const ShardTask& task) override;
 };
 
-/// Deterministic fixed-order merge of per-shard partial CC tables.
-class ShardMerger {
- public:
-  /// Folds `partial` into `into`, returning the number of (attribute,
-  /// value) cells moved — the unit mw_shard_merge_cells meters. Cell
-  /// counts are int64 sums over disjoint row partitions, so merging the
-  /// partials in fixed shard order yields exactly the table an unsharded
-  /// scan would build.
-  static uint64_t ShardMergeCells(CcTable* into, const CcTable& partial);
-};
-
 /// Fans one CC batch out across the table's shard set (scheduler Rule 8)
 /// and merges the partial tables in fixed shard order, so the result is
 /// byte-identical to the unsharded row-scan path at every shard count and
@@ -132,13 +116,6 @@ class ShardMerger {
 /// shard; the pass fails only when the primary re-scan fails too.
 class ShardCoordinator {
  public:
-  /// One CC request inside a sharded batch.
-  struct Node {
-    const Expr* predicate = nullptr;  // bound; null means TRUE
-    const std::vector<int>* active_attrs = nullptr;
-    CcTable* cc = nullptr;  // out: populated by Run
-  };
-
   struct Result {
     uint64_t rows_scanned = 0;  // base rows counted across all shards
     int rescans = 0;            // dead shards recovered from the primary
@@ -153,14 +130,16 @@ class ShardCoordinator {
   uint32_t num_shards() const { return map_->num_shards(); }
   uint64_t total_rows() const { return map_->total_rows(); }
 
-  /// Builds every node's CC table. Per-shard tasks run over `pool` via
+  /// Builds every node's CC table of `counts`: one partial per shard,
+  /// merged in fixed shard order. Per-shard tasks run over `pool` via
   /// `transport` (both serial when pool is null or single-threaded).
   /// `cost` (nullable) takes the logical mw_shard_* charges — per base row
   /// per node and per final merged cell, so simulated cost is invariant
   /// across shard and worker counts; physical reads land on per-worker
   /// counters folded into the Open-time `io`.
   [[nodiscard]] Status Run(ThreadPool* pool, ShardTransport* transport,
-             std::vector<Node>* nodes, CostCounters* cost, Result* result);
+                           CountBatch* counts, CostCounters* cost,
+                           Result* result);
 
  private:
   ShardCoordinator(std::string heap_path, const Schema* schema,
@@ -168,7 +147,7 @@ class ShardCoordinator {
 
   /// Serial re-scan of dead shard `shard`'s rows out of the primary heap
   /// file: row ordinal r belongs to the shard iff ShardForRow(scheme, r, N)
-  /// says so. Rebuilds that shard's partials from scratch.
+  /// says so, counting into the task's (empty) partial.
   [[nodiscard]] Status RescanFromPrimary(uint32_t shard, const ShardTask& task);
 
   std::string heap_path_;

@@ -232,15 +232,15 @@ Status SubprocessShardTransport::Exchange(Worker* worker,
     return Status::DataLoss("shard rpc protocol violation: " + detail);
   }
   WireShardResult result;
-  Status decoded = DecodeShardResult(reply.payload, task.num_classes,
-                                     task.partials->size(), &result);
+  Status decoded = DecodeShardResult(reply.payload, task.counts->num_classes(),
+                                     task.counts->size(), &result);
   if (!decoded.ok()) {
     std::string detail = decoded.message();
     DestroyWorker(worker, &detail);
     return Status::DataLoss("shard rpc result undecodable: " + detail);
   }
   for (size_t i = 0; i < result.partials.size(); ++i) {
-    (*task.partials)[i] = std::move(result.partials[i]);
+    task.counts->Assign(i, std::move(result.partials[i]));
   }
   *task.rows_scanned = result.rows_scanned;
   if (task.io != nullptr) task.io->Add(result.io);
@@ -249,8 +249,8 @@ Status SubprocessShardTransport::Exchange(Worker* worker,
 
 Status SubprocessShardTransport::RunShard(const ShardTask& task) {
   SQLCLASS_RETURN_IF_ERROR(EnsureStarted());
-  if (task.predicates == nullptr || task.partials == nullptr ||
-      task.node_attrs == nullptr || task.rows_scanned == nullptr) {
+  if (task.predicates == nullptr || task.counts == nullptr ||
+      task.rows_scanned == nullptr) {
     return Status::InvalidArgument(
         "subprocess shard transport needs predicates and out-fields");
   }
@@ -259,14 +259,14 @@ Status SubprocessShardTransport::RunShard(const ShardTask& task) {
   wire_task.shard_heap_path = task.shard_heap_path;
   wire_task.expected_rows = task.expected_rows;
   wire_task.num_columns = task.num_columns;
-  wire_task.class_column = task.class_column;
-  wire_task.num_classes = task.num_classes;
-  const size_t n = task.partials->size();
+  wire_task.class_column = task.counts->class_column();
+  wire_task.num_classes = task.counts->num_classes();
+  const size_t n = task.counts->size();
   wire_task.nodes.resize(n);
   for (size_t i = 0; i < n; ++i) {
     wire_task.nodes[i].predicate =
         WirePredicateFromExpr((*task.predicates)[i]);
-    const std::vector<int>& attrs = *(*task.node_attrs)[i];
+    const std::vector<int>& attrs = task.counts->attrs(i);
     wire_task.nodes[i].attrs.assign(attrs.begin(), attrs.end());
   }
   std::string request;

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/retry.h"
-#include "middleware/batch_matcher.h"
+#include "middleware/count_batch.h"
 #include "middleware/parallel_scan.h"
 #include "middleware/shard_scan.h"
 
@@ -346,22 +346,17 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
     const std::map<SessionId, size_t>& quotas) {
   ScanOutcome out;
   const int n = static_cast<int>(batch.size());
-  const int class_column = schema.class_column();
 
   MutexLock server_lock(*server_mu_);
   CostCounters& cost = server_->cost_counters();
   const CostCounters before = cost;
 
-  std::vector<CcTable> ccs;
-  ccs.reserve(n);
-  for (int i = 0; i < n; ++i) ccs.emplace_back(num_classes);
-
-  std::vector<const Expr*> predicates;
-  predicates.reserve(n);
+  std::vector<CountBatch::Node> nodes;
+  nodes.reserve(n);
   for (const PendingReq& p : batch) {
-    predicates.push_back(p.request.predicate.get());
+    nodes.push_back(CountBatch::NodeOf(p.request));
   }
-  BatchMatcher matcher(predicates);
+  CountBatch counts(nodes, schema.class_column(), num_classes);
 
   // §4.3.1 OR-pushdown when every rider has a selective predicate.
   auto build_pushdown_filter = [&]() -> std::unique_ptr<Expr> {
@@ -400,20 +395,14 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
         SQLCLASS_ASSIGN_OR_RETURN(
             std::unique_ptr<BitmapIndexReader> reader,
             BitmapIndexReader::Open(path, &server_->io_counters()));
-        std::vector<BitmapCountScan::Node> nodes(n);
-        for (int i = 0; i < n; ++i) {
-          nodes[i].predicate = batch[i].request.predicate.get();
-          nodes[i].active_attrs = &batch[i].request.active_attrs;
-          nodes[i].cc = &ccs[i];
-        }
-        return BitmapCountScan::Run(reader.get(), schema, &nodes, &cost);
+        return BitmapCountScan::Run(reader.get(), schema, &counts, &cost);
       }();
       if (bitmap_pass.ok()) {
         bitmap_served = true;
         out.from_bitmap = true;
       } else {
         out.bitmap_fallback = true;
-        for (int i = 0; i < n; ++i) ccs[i] = CcTable(num_classes);
+        counts.Reset();
       }
     }
   }
@@ -442,12 +431,6 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
       SQLCLASS_ASSIGN_OR_RETURN(
           std::unique_ptr<ShardCoordinator> coordinator,
           ShardCoordinator::Open(heap_path, schema, &server_->io_counters()));
-      std::vector<ShardCoordinator::Node> nodes(n);
-      for (int i = 0; i < n; ++i) {
-        nodes[i].predicate = batch[i].request.predicate.get();
-        nodes[i].active_attrs = &batch[i].request.active_attrs;
-        nodes[i].cc = &ccs[i];
-      }
       const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
       const int resolved =
           workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
@@ -459,7 +442,7 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
       ShardCoordinator::Result result;
       SQLCLASS_RETURN_IF_ERROR(
           coordinator->Run(resolved > 1 ? scan_pool_.get() : nullptr,
-                           shard_transport_.get(), &nodes, &cost, &result));
+                           shard_transport_.get(), &counts, &cost, &result));
       out.rows_scanned = result.rows_scanned;
       out.shard_rescans = result.rescans;
       out.shard_replica_rescans = result.replica_rescans;
@@ -481,7 +464,7 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
       out.rows_scanned = 0;
       out.shard_rescans = 0;
       out.shard_replica_rescans = 0;
-      for (int i = 0; i < n; ++i) ccs[i] = CcTable(num_classes);
+      counts.Reset();
     }
   }
 
@@ -490,87 +473,62 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
   // counting scan, which charges the identical logical costs.
   const int scan_threads =
       ResolveParallelThreads(config_.parallel_scan_threads);
-  if (bitmap_served || shard_served) {
-    // Counts, not rows, flowed to the riders; no per-session CC-update
-    // work exists to credit exactly (the shard path reports the physical
-    // rows its workers scanned, the bitmap path none at all).
-  } else if (scan_threads > 1 && table_rows >= config_.parallel_scan_min_rows) {
-    ParallelScanOptions options;
-    options.class_column = class_column;
-    options.num_classes = num_classes;
-    options.matcher = &matcher;
-    options.node_attrs.reserve(n);
-    for (const PendingReq& p : batch) {
-      options.node_attrs.push_back(&p.request.active_attrs);
-    }
-    std::unique_ptr<Expr> filter = build_pushdown_filter();
-    if (filter != nullptr) {
-      Status bind_status = filter->Bind(schema);
-      if (!bind_status.ok()) {
-        out.scan_status = bind_status;
+  if (!bitmap_served && !shard_served) {
+    // Counts, not rows, flow to the riders of a bitmap or shard pass, so
+    // only a row pass has per-session CC-update work to credit exactly.
+    Status scanned;
+    if (scan_threads > 1 && table_rows >= config_.parallel_scan_min_rows) {
+      ParallelScanOptions options;
+      std::unique_ptr<Expr> filter = build_pushdown_filter();
+      if (filter != nullptr) {
+        Status bind_status = filter->Bind(schema);
+        if (!bind_status.ok()) {
+          out.scan_status = bind_status;
+          return out;
+        }
+      }
+      options.filter = filter.get();
+      options.charge.server_row_evaluated = true;
+      options.charge.cursor_transfer = true;
+
+      StatusOr<std::string> path_or = server_->TableHeapPath(table);
+      if (!path_or.ok()) {
+        out.scan_status = path_or.status();
         return out;
       }
+      if (scan_pool_ == nullptr || scan_pool_->size() != scan_threads) {
+        scan_pool_ = std::make_unique<ThreadPool>(scan_threads);
+      }
+      ++cost.server_scans;  // what OpenCursor charges at open
+      StatusOr<ParallelScanResult> scan = ParallelCountScan::OverHeapFile(
+          scan_pool_.get(), *path_or, schema.num_columns(), options, &counts,
+          &cost, &server_->io_counters());
+      if (scan.ok()) out.rows_scanned = scan->rows_delivered;
+      scanned = scan.status();
+    } else {
+      std::string sql = "SELECT * FROM " + table;
+      if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
+        sql += " WHERE " + filter->ToSql();
+      }
+      StatusOr<std::unique_ptr<ServerCursor>> cursor =
+          server_->OpenCursorSql(sql);
+      if (!cursor.ok()) {
+        out.scan_status = cursor.status();
+        return out;
+      }
+      scanned = CountAllRows(cursor->get(), &counts, &out.rows_scanned);
+      cost.mw_cc_updates += counts.CcUpdates();
     }
-    options.filter = filter.get();
-    options.charge.server_row_evaluated = true;
-    options.charge.cursor_transfer = true;
-
-    StatusOr<std::string> path_or = server_->TableHeapPath(table);
-    if (!path_or.ok()) {
-      out.scan_status = path_or.status();
-      return out;
-    }
-    if (scan_pool_ == nullptr || scan_pool_->size() != scan_threads) {
-      scan_pool_ = std::make_unique<ThreadPool>(scan_threads);
-    }
-    ++cost.server_scans;  // what OpenCursor charges at open
-    StatusOr<ParallelScanResult> scan_or = ParallelCountScan::OverHeapFile(
-        scan_pool_.get(), *path_or, schema.num_columns(), options, &cost,
-        &server_->io_counters());
-    if (!scan_or.ok()) {
-      out.scan_status = scan_or.status();
-      return out;
-    }
-    ParallelScanResult scan = std::move(scan_or).value();
-    out.rows_scanned = scan.rows_delivered;
+    // A failed parallel pass leaves `counts` empty; a failed serial pass
+    // credits the rows it counted before the fault.
     for (int i = 0; i < n; ++i) {
-      ccs[i] = std::move(scan.ccs[i]);
       const uint64_t updates =
-          scan.node_matches[i] * batch[i].request.active_attrs.size();
+          counts.rows(i) * batch[i].request.active_attrs.size();
       if (updates > 0) out.cc_updates[batch[i].session] += updates;
     }
-  } else {
-    std::string sql = "SELECT * FROM " + table;
-    if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
-      sql += " WHERE " + filter->ToSql();
-    }
-
-    StatusOr<std::unique_ptr<ServerCursor>> cursor_or =
-        server_->OpenCursorSql(sql);
-    if (!cursor_or.ok()) {
-      out.scan_status = cursor_or.status();
+    if (!scanned.ok()) {
+      out.scan_status = scanned;
       return out;
-    }
-    std::unique_ptr<ServerCursor> cursor = std::move(cursor_or).value();
-
-    Row row;
-    std::vector<int> matches;
-    while (true) {
-      StatusOr<bool> more = cursor->Next(&row);
-      if (!more.ok()) {
-        out.scan_status = more.status();
-        return out;
-      }
-      if (!more.value()) break;
-      ++out.rows_scanned;
-      matcher.Match(row, &matches);
-      for (int pos : matches) {
-        const PendingReq& p = batch[pos];
-        ccs[pos].AddRow(row, p.request.active_attrs, class_column);
-        const uint64_t updates = p.request.active_attrs.size();
-        cost.mw_cc_updates += updates;
-        out.cc_updates[p.session] += updates;
-      }
     }
   }
 
@@ -578,11 +536,12 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
   // mismatch poisons only the owning session, not its co-riders.
   for (int i = 0; i < n; ++i) {
     const PendingReq& p = batch[i];
-    if (static_cast<uint64_t>(ccs[i].TotalRows()) != p.request.data_size) {
+    if (static_cast<uint64_t>(counts.cc(i).TotalRows()) !=
+        p.request.data_size) {
       out.session_errors.emplace(
           p.session,
           Status::Internal(
-              "counted " + std::to_string(ccs[i].TotalRows()) +
+              "counted " + std::to_string(counts.cc(i).TotalRows()) +
               " rows for node " + std::to_string(p.request.node_id) +
               ", expected " + std::to_string(p.request.data_size)));
     }
@@ -592,7 +551,7 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
   // fit its admission quota.
   std::map<SessionId, size_t> bytes_per_session;
   for (int i = 0; i < n; ++i) {
-    bytes_per_session[batch[i].session] += ccs[i].ApproxBytes();
+    bytes_per_session[batch[i].session] += counts.cc(i).ApproxBytes();
   }
   for (const auto& [sid, bytes] : bytes_per_session) {
     if (out.session_errors.count(sid) != 0) continue;
@@ -609,7 +568,7 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
 
   out.results.reserve(n);
   for (int i = 0; i < n; ++i) {
-    out.results.emplace_back(batch[i].request.node_id, std::move(ccs[i]));
+    out.results.emplace_back(batch[i].request.node_id, counts.Take(i));
   }
   out.delta = CostCounters::Delta(cost, before);
   return out;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "middleware/count_batch.h"
+#include "mining/inmemory_provider.h"
 #include "sql/parser.h"
 #include "test_util.h"
 
@@ -163,6 +165,138 @@ TEST(BatchMatcherTest, AgreesWithDirectEvaluationOnRandomBatches) {
     }
     EXPECT_EQ(Sorted(out), expected);
   }
+}
+
+// ------------------------------------------------------------- CountBatch
+
+// A frontier whose predicates share prefixes (siblings and a parent with its
+// children), each node counting its own attribute subset.
+struct Frontier {
+  std::vector<std::string> sql;
+  std::vector<std::unique_ptr<Expr>> predicates;
+  std::vector<std::vector<int>> attrs;
+
+  std::vector<CountBatch::Node> Nodes() const {
+    std::vector<CountBatch::Node> nodes;
+    for (size_t i = 0; i < predicates.size(); ++i) {
+      nodes.push_back({predicates[i].get(), &attrs[i]});
+    }
+    return nodes;
+  }
+};
+
+Frontier PrefixSharingFrontier(const Schema& schema) {
+  Frontier f;
+  f.sql = {"A1 = 0",
+           "A1 = 0 AND A2 = 1",
+           "A1 = 0 AND A2 <> 1",
+           "A1 = 0 AND A2 <> 1 AND A3 = 2",
+           "A1 <> 0 AND A4 = 3",
+           "A1 <> 0 AND A4 <> 3"};
+  f.attrs = {{1, 2, 3}, {2, 3}, {2, 3}, {3}, {0, 1, 2}, {0, 1, 2}};
+  for (const std::string& sql : f.sql) f.predicates.push_back(Bound(schema, sql));
+  return f;
+}
+
+TEST(CountBatchTest, PartialsMergedInFixedOrderEqualOneBatchAndReference) {
+  Schema schema = MakeSchema({4, 4, 4, 4}, 3);
+  const int class_column = schema.class_column();
+  const int num_classes = 3;
+  const std::vector<Row> rows = RandomRows(schema, 2000, 91);
+  const Frontier frontier = PrefixSharingFrontier(schema);
+
+  CountBatch whole(frontier.Nodes(), class_column, num_classes);
+  for (const Row& row : rows) whole.CountRow(row.data());
+
+  // The reference provider evaluates every predicate directly.
+  InMemoryCcProvider reference(schema, &rows);
+  for (size_t i = 0; i < frontier.sql.size(); ++i) {
+    CcRequest request;
+    request.node_id = static_cast<int>(i);
+    auto predicate = ParsePredicate(frontier.sql[i]);
+    ASSERT_TRUE(predicate.ok());
+    request.predicate = std::move(*predicate);
+    ASSERT_TRUE(request.predicate->Bind(schema).ok());
+    request.active_attrs = frontier.attrs[i];
+    ASSERT_TRUE(reference.QueueRequest(std::move(request)).ok());
+  }
+  auto expected = reference.FulfillSome();
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->size(), whole.size());
+
+  uint64_t expected_updates = 0;
+  for (size_t i = 0; i < whole.size(); ++i) {
+    const CcResult& result = (*expected)[i];
+    ASSERT_EQ(result.node_id, static_cast<int>(i));
+    EXPECT_TRUE(whole.cc(i) == result.cc) << frontier.sql[i];
+    EXPECT_EQ(whole.rows(i), static_cast<uint64_t>(result.cc.TotalRows()));
+    expected_updates += whole.rows(i) * frontier.attrs[i].size();
+  }
+  EXPECT_EQ(whole.CcUpdates(), expected_updates);
+
+  // The same rows split over k partials (strided, as morsels interleave),
+  // merged in partial order.
+  for (size_t k : {1u, 2u, 3u, 7u}) {
+    CountBatch merged(frontier.Nodes(), class_column, num_classes);
+    std::vector<CountBatch> partials;
+    for (size_t p = 0; p < k; ++p) partials.push_back(merged.Partial());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      partials[r % k].CountRow(rows[r].data());
+    }
+    for (const CountBatch& partial : partials) merged.Merge(partial);
+    for (size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_TRUE(merged.cc(i) == whole.cc(i)) << "k=" << k << " node=" << i;
+      EXPECT_EQ(merged.rows(i), whole.rows(i)) << "k=" << k << " node=" << i;
+    }
+    EXPECT_EQ(merged.CcUpdates(), whole.CcUpdates());
+  }
+}
+
+TEST(CountBatchTest, DroppedNodeStaysEmptyButStillMatches) {
+  Schema schema = MakeSchema({3, 3}, 2);
+  const std::vector<Row> rows = RandomRows(schema, 400, 17);
+  auto everything = Bound(schema, "A1 <> 9");
+  auto some = Bound(schema, "A1 = 1");
+  const std::vector<int> attrs = {0, 1};
+  CountBatch counts({{everything.get(), &attrs}, {some.get(), &attrs}},
+                    schema.class_column(), 2);
+
+  const size_t half = rows.size() / 2;
+  for (size_t r = 0; r < half; ++r) counts.CountRow(rows[r].data());
+  const uint64_t rows_before_drop = counts.rows(1);
+  ASSERT_GT(rows_before_drop, 0u);
+
+  counts.Drop(1);
+  EXPECT_TRUE(counts.dropped(1));
+  EXPECT_EQ(counts.cc(1).NumEntries(), 0u);
+  size_t still_matched = 0;
+  for (size_t r = half; r < rows.size(); ++r) {
+    const std::vector<int>& matched = counts.CountRow(rows[r].data());
+    const bool reported =
+        std::find(matched.begin(), matched.end(), 1) != matched.end();
+    EXPECT_EQ(reported, rows[r][0] == 1);
+    if (reported) ++still_matched;
+  }
+  EXPECT_GT(still_matched, 0u);
+  // The dropped node's table stays empty and its tally stops; the other
+  // node keeps counting every row.
+  EXPECT_EQ(counts.cc(1).NumEntries(), 0u);
+  EXPECT_EQ(counts.cc(1).TotalRows(), 0);
+  EXPECT_EQ(counts.rows(1), rows_before_drop);
+  EXPECT_EQ(counts.rows(0), rows.size());
+  EXPECT_EQ(counts.cc(0).TotalRows(), static_cast<int64_t>(rows.size()));
+
+  // A merged partial does not revive it either.
+  CountBatch partial = counts.Partial();
+  for (const Row& row : rows) partial.CountRow(row.data());
+  counts.Merge(partial);
+  EXPECT_EQ(counts.cc(1).NumEntries(), 0u);
+  EXPECT_EQ(counts.rows(1), rows_before_drop);
+
+  counts.Reset();
+  EXPECT_FALSE(counts.dropped(1));
+  EXPECT_EQ(counts.rows(0), 0u);
+  EXPECT_EQ(counts.cc(0).TotalRows(), 0);
 }
 
 }  // namespace

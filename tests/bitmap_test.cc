@@ -350,21 +350,19 @@ class BitmapScanTest : public ::testing::Test {
       ASSERT_TRUE(predicate->Bind(schema_).ok());
     }
     ASSERT_TRUE(BitmapCountScan::Servable(predicate.get()));
-    CcTable cc(3);
-    std::vector<BitmapCountScan::Node> nodes(1);
     std::vector<int> attrs_copy = attrs;
-    nodes[0].predicate = predicate.get();
-    nodes[0].active_attrs = &attrs_copy;
-    nodes[0].cc = &cc;
+    CountBatch counts({{predicate.get(), &attrs_copy}},
+                      schema_.class_column(), 3);
     CostCounters cost;
     ASSERT_TRUE(
-        BitmapCountScan::Run(reader_.get(), schema_, &nodes, &cost).ok());
+        BitmapCountScan::Run(reader_.get(), schema_, &counts, &cost).ok());
+    const CcTable& cc = counts.cc(0);
     CcTable expected = BruteForceCc(rows_, predicate.get(), attrs_copy,
                                     schema_.class_column(), 3);
     EXPECT_TRUE(cc == expected)
         << "bitmap:\n" << cc.ToString() << "\nrow scan:\n"
         << expected.ToString();
-    EXPECT_EQ(nodes[0].node_rows,
+    EXPECT_EQ(counts.rows(0),
               static_cast<uint64_t>(expected.TotalRows()));
     EXPECT_GT(cost.mw_bitmap_words_read.load(), 0u);
     EXPECT_GT(cost.mw_bitmap_popcounts.load(), 0u);
@@ -411,16 +409,12 @@ TEST_F(BitmapScanTest, RepeatRunsChargeIdenticalCosts) {
   std::vector<int> attrs = {2, 3};
   uint64_t first_words = 0;
   for (int round = 0; round < 2; ++round) {
-    CcTable cc(3);
-    std::vector<BitmapCountScan::Node> nodes(1);
-    nodes[0].predicate = predicate.get();
-    nodes[0].active_attrs = &attrs;
-    nodes[0].cc = &cc;
+    CountBatch counts({{predicate.get(), &attrs}}, schema_.class_column(), 3);
     CostCounters cost;
     // Same reader both rounds: round two is fully cached, yet the logical
     // charges must not change (simulated cost is cache-state-invariant).
     ASSERT_TRUE(
-        BitmapCountScan::Run(reader_.get(), schema_, &nodes, &cost).ok());
+        BitmapCountScan::Run(reader_.get(), schema_, &counts, &cost).ok());
     if (round == 0) {
       first_words = cost.mw_bitmap_words_read.load();
     } else {

@@ -17,7 +17,7 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "middleware/batch_matcher.h"
+#include "middleware/count_batch.h"
 #include "middleware/config.h"
 #include "middleware/middleware.h"
 #include "mining/cc_table.h"
@@ -348,29 +348,31 @@ std::unique_ptr<Expr> RandomPredicate(const Schema& schema, Random* rng,
   return Expr::And(std::move(literals));
 }
 
-// Runs OverHeapFile at `threads` workers and returns the result.
+// An empty CountBatch over `nodes`.
+CountBatch CountsFor(const Schema& schema, const std::vector<NodeSpec>& nodes) {
+  std::vector<CountBatch::Node> batch;
+  for (const NodeSpec& node : nodes) {
+    batch.push_back({node.predicate.get(), &node.attrs});
+  }
+  return CountBatch(batch, schema.class_column(),
+                    schema.attribute(schema.class_column()).cardinality);
+}
+
+// Runs OverHeapFile at `threads` workers into `counts`.
 StatusOr<ParallelScanResult> RunHeapScan(const std::string& path,
                                          const Schema& schema,
-                                         const std::vector<NodeSpec>& nodes,
+                                         CountBatch* counts,
                                          const Expr* filter, int threads,
                                          const ScanCharge& charge,
                                          CostCounters* cost, IoCounters* io) {
-  std::vector<const Expr*> predicates;
-  for (const NodeSpec& node : nodes) predicates.push_back(node.predicate.get());
-  BatchMatcher matcher(predicates);
-
   ParallelScanOptions options;
   options.pages_per_morsel = 2;
-  options.class_column = schema.class_column();
-  options.num_classes = schema.attribute(schema.class_column()).cardinality;
-  options.matcher = &matcher;
-  for (const NodeSpec& node : nodes) options.node_attrs.push_back(&node.attrs);
   options.filter = filter;
   options.charge = charge;
 
   ThreadPool pool(threads);
   return ParallelCountScan::OverHeapFile(&pool, path, schema.num_columns(),
-                                         options, cost, io);
+                                         options, counts, cost, io);
 }
 
 TEST(ParallelScanTest, HeapFileMatchesBruteForceAtEveryThreadCount) {
@@ -433,10 +435,11 @@ TEST(ParallelScanTest, HeapFileMatchesBruteForceAtEveryThreadCount) {
     for (int threads : {1, 2, 3, 4, 8, 16}) {
       CostCounters cost;
       IoCounters io;
-      auto scan = RunHeapScan(path, schema, nodes, filter.get(), threads,
+      CountBatch counts = CountsFor(schema, nodes);
+      auto scan = RunHeapScan(path, schema, &counts, filter.get(), threads,
                               charge, &cost, &io);
       ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-      ASSERT_EQ(scan->ccs.size(), nodes.size());
+      ASSERT_EQ(counts.size(), nodes.size());
       EXPECT_EQ(scan->rows_scanned, n);
       EXPECT_EQ(io.rows_read, n);
 
@@ -445,9 +448,9 @@ TEST(ParallelScanTest, HeapFileMatchesBruteForceAtEveryThreadCount) {
         CcTable expected = BruteForceCc(rows, nodes[i].predicate.get(),
                                         nodes[i].attrs, class_col,
                                         num_classes);
-        EXPECT_TRUE(scan->ccs[i] == expected)
+        EXPECT_TRUE(counts.cc(i) == expected)
             << "seed=" << seed << " threads=" << threads << " node=" << i;
-        EXPECT_EQ(scan->node_matches[i],
+        EXPECT_EQ(counts.rows(i),
                   static_cast<uint64_t>(expected.TotalRows()));
         expected_updates += expected.TotalRows() * nodes[i].attrs.size();
       }
@@ -490,7 +493,9 @@ TEST(ParallelScanTest, FileChargeShapeMatchesStagedScan) {
   charge.mw_file_read = true;
   CostCounters cost;
   IoCounters io;
-  auto scan = RunHeapScan(path, schema, nodes, nullptr, 4, charge, &cost, &io);
+  CountBatch counts = CountsFor(schema, nodes);
+  auto scan =
+      RunHeapScan(path, schema, &counts, nullptr, 4, charge, &cost, &io);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   // Staged-file scans read every row through the middleware, no cursor.
   EXPECT_EQ(cost.mw_file_rows_read.load(), rows.size());
@@ -512,32 +517,26 @@ TEST(ParallelScanTest, MemoryStoreMatchesBruteForce) {
     node.attrs = {1, 2, 3};
     nodes.push_back(std::move(node));
   }
-  std::vector<const Expr*> predicates;
-  for (const NodeSpec& node : nodes) predicates.push_back(node.predicate.get());
-  BatchMatcher matcher(predicates);
-
   ParallelScanOptions options;
   options.rows_per_morsel = 256;
-  options.class_column = schema.class_column();
-  options.num_classes = schema.attribute(schema.class_column()).cardinality;
-  options.matcher = &matcher;
-  for (const NodeSpec& node : nodes) options.node_attrs.push_back(&node.attrs);
   options.charge.mw_memory_read = true;
+  const int num_classes = schema.attribute(schema.class_column()).cardinality;
 
   std::string baseline_cost;
   for (int threads : {1, 2, 4, 16}) {
     ThreadPool pool(threads);
     CostCounters cost;
+    CountBatch counts = CountsFor(schema, nodes);
     auto scan = ParallelCountScan::OverMemoryStore(&pool, store, options,
-                                                   &cost);
+                                                   &counts, &cost);
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     EXPECT_EQ(scan->rows_scanned, rows.size());
     EXPECT_EQ(cost.mw_memory_rows_read.load(), rows.size());
     for (size_t i = 0; i < nodes.size(); ++i) {
       CcTable expected =
           BruteForceCc(rows, nodes[i].predicate.get(), nodes[i].attrs,
-                       schema.class_column(), options.num_classes);
-      EXPECT_TRUE(scan->ccs[i] == expected) << "threads=" << threads;
+                       schema.class_column(), num_classes);
+      EXPECT_TRUE(counts.cc(i) == expected) << "threads=" << threads;
     }
     if (baseline_cost.empty()) {
       baseline_cost = cost.ToString();

@@ -210,8 +210,7 @@ class SubprocessDirectTest : public ::testing::Test {
   /// Owns every out-field and shared vector a ShardTask points at.
   struct TaskState {
     std::vector<const Expr*> predicates;
-    std::vector<const std::vector<int>*> node_attrs;
-    std::vector<CcTable> partials;
+    std::unique_ptr<CountBatch> counts;
     uint64_t rows_scanned = 0;
     IoCounters io;
   };
@@ -220,21 +219,18 @@ class SubprocessDirectTest : public ::testing::Test {
   /// only rows matching `predicate_`.
   ShardTask MakeTask(TaskState* state) {
     state->predicates = {nullptr, predicate_.get()};
-    state->node_attrs = {&attrs_, &attrs_};
-    state->partials.clear();
-    state->partials.emplace_back(3);
-    state->partials.emplace_back(3);
+    state->counts = std::make_unique<CountBatch>(
+        std::vector<CountBatch::Node>{{nullptr, &attrs_},
+                                      {predicate_.get(), &attrs_}},
+        schema_.class_column(), 3);
     state->rows_scanned = 0;
     ShardTask task;
     task.shard = 0;
     task.shard_heap_path = ShardHeapPathFor(heap_, 0);
     task.expected_rows = rows_.size();
     task.num_columns = schema_.num_columns();
-    task.class_column = schema_.class_column();
-    task.num_classes = 3;
     task.predicates = &state->predicates;
-    task.node_attrs = &state->node_attrs;
-    task.partials = &state->partials;
+    task.counts = state->counts.get();
     task.rows_scanned = &state->rows_scanned;
     task.io = &state->io;
     return task;
@@ -264,8 +260,8 @@ TEST_F(SubprocessDirectTest, ScanShipsExactCcTables) {
   const ShardTask task = MakeTask(&state);
   ASSERT_TRUE(transport.RunShard(task).ok());
   EXPECT_EQ(state.rows_scanned, rows_.size());
-  EXPECT_TRUE(state.partials[0] == Expected(nullptr));
-  EXPECT_TRUE(state.partials[1] == Expected(predicate_.get()));
+  EXPECT_TRUE(state.counts->cc(0) == Expected(nullptr));
+  EXPECT_TRUE(state.counts->cc(1) == Expected(predicate_.get()));
   EXPECT_GT(state.io.pages_read, 0u);
   EXPECT_EQ(transport.rpc_timeouts(), 0u);
   EXPECT_EQ(transport.worker_restarts(), 0u);
@@ -273,7 +269,7 @@ TEST_F(SubprocessDirectTest, ScanShipsExactCcTables) {
   // The pooled worker serves a second task without respawning.
   TaskState again;
   ASSERT_TRUE(transport.RunShard(MakeTask(&again)).ok());
-  EXPECT_TRUE(again.partials[0] == state.partials[0]);
+  EXPECT_TRUE(again.counts->cc(0) == state.counts->cc(0));
   EXPECT_EQ(transport.worker_restarts(), 0u);
 }
 
@@ -329,8 +325,8 @@ TEST_F(SubprocessDirectTest, TornReplyFrameNeverDecodes) {
   EXPECT_EQ(transport.worker_restarts(), 1u);
   // The half-written reply frame must have been rejected wholesale — no
   // partial CC data may leak into the out-fields.
-  EXPECT_EQ(state.partials[0].NumEntries(), 0u);
-  EXPECT_EQ(state.partials[1].NumEntries(), 0u);
+  EXPECT_EQ(state.counts->cc(0).NumEntries(), 0u);
+  EXPECT_EQ(state.counts->cc(1).NumEntries(), 0u);
   EXPECT_EQ(state.rows_scanned, 0u);
 }
 
@@ -341,7 +337,7 @@ TEST_F(SubprocessDirectTest, EverySecondTaskCrashRecoversTransparently) {
   for (int i = 0; i < 4; ++i) {
     TaskState state;
     ASSERT_TRUE(transport.RunShard(MakeTask(&state)).ok()) << "task " << i;
-    EXPECT_TRUE(state.partials[0] == expected) << "task " << i;
+    EXPECT_TRUE(state.counts->cc(0) == expected) << "task " << i;
   }
   // Each worker instance serves exactly one task and crashes on its second,
   // so tasks 2..4 each needed one respawn.
@@ -380,7 +376,7 @@ TEST_F(SubprocessDirectTest, CoordinatorSideWireFaultsRetryAndSurface) {
     FaultInjector::Global().Arm(faults::kShardRpcRecv, fault);
     TaskState state;
     ASSERT_TRUE(transport.RunShard(MakeTask(&state)).ok());
-    EXPECT_TRUE(state.partials[0] == Expected(nullptr));
+    EXPECT_TRUE(state.counts->cc(0) == Expected(nullptr));
   }
 }
 

@@ -120,5 +120,21 @@ TEST(ResolveParallelThreadsTest, EnvOverridesZeroDefault) {
   EXPECT_EQ(ResolveParallelThreads(0), ThreadPool::HardwareConcurrency());
 }
 
+TEST(ResolveParallelThreadsTest, MalformedEnvIsIgnored) {
+  // A trailing-garbage value is rejected whole, as every other integer
+  // knob rejects it, rather than read as its numeric prefix. The second
+  // value's prefix differs from the hardware fallback on any host.
+  const int hardware = ThreadPool::HardwareConcurrency();
+  for (const std::string& malformed :
+       {std::string("4x"), std::to_string(hardware + 1) + "x"}) {
+    ASSERT_EQ(setenv("SQLCLASS_PARALLEL_SCAN_THREADS", malformed.c_str(), 1),
+              0);
+    EXPECT_EQ(ResolveParallelThreads(0), hardware) << malformed;
+    // The config still wins over any environment value.
+    EXPECT_EQ(ResolveParallelThreads(3), 3) << malformed;
+  }
+  ASSERT_EQ(unsetenv("SQLCLASS_PARALLEL_SCAN_THREADS"), 0);
+}
+
 }  // namespace
 }  // namespace sqlclass

@@ -21,6 +21,13 @@ or addresses. This checker bans them at the source level in src/:
   address-keyed     std::map/std::set keyed on a raw pointer — iteration
                     order is allocation order, i.e. nondeterministic
                     across runs.
+  hand-count        a BatchMatcher constructed, or `.Match(` called, outside
+                    the count kernel (middleware/count_batch.*). Every
+                    engine counts through CountBatch, whose partials merge
+                    in one fixed order; a hand-written match-and-count loop
+                    bypasses that contract (and the kernel's charging
+                    rules). The matcher's own files define it and are
+                    exempt. No waiver.
 
 Waivers — in the enclosing function body (or the declaration's line for
 address-keyed members):
@@ -64,6 +71,20 @@ ADDRESS_KEYED_RE = re.compile(
     r"\bstd\s*::\s*(map|set|multimap|multiset)\s*<\s*(?:const\s+)?"
     r"[A-Za-z_][\w:]*(?:\s*<[^<>]*>)?\s*\*"
 )
+# `BatchMatcher m(...)` / `BatchMatcher m;` / `BatchMatcher(...)` /
+# `new BatchMatcher` / `make_unique<BatchMatcher>(...)` — but not pointers,
+# references, or `BatchMatcher::` members.
+MATCHER_CONSTRUCT_RE = re.compile(
+    r"\bBatchMatcher\s+[A-Za-z_]\w*\s*[({;=]"
+    r"|\bBatchMatcher\s*[({]"
+    r"|<\s*(?:const\s+)?BatchMatcher\s*>\s*\("
+)
+MATCH_CALL_RE = re.compile(r"(?:\.|->)\s*Match\s*\(")
+# Files allowed to build and drive a BatchMatcher: the kernel and the
+# matcher's own definition.
+COUNT_KERNEL_FILES = {
+    "count_batch.h", "count_batch.cc", "batch_matcher.h", "batch_matcher.cc",
+}
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(\s*[^;()]*?:\s*(\w+)\s*\)")
 BEGIN_ITER_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*c?begin\s*\(")
 SINK_RE = re.compile(
@@ -150,6 +171,14 @@ def check_file(path):
         enclosing = sf.enclosing_function(m.start())
         func = enclosing[0] if enclosing else "<file-scope>"
         violations.append((path, line, func, "address-keyed", m.group(0)))
+
+    if os.path.basename(path) not in COUNT_KERNEL_FILES:
+        for regex in (MATCHER_CONSTRUCT_RE, MATCH_CALL_RE):
+            for m in regex.finditer(sf.clean):
+                enclosing = sf.enclosing_function(m.start())
+                func = enclosing[0] if enclosing else "<file-scope>"
+                violations.append((path, sf.line_of(m.start()), func,
+                                   "hand-count", m.group(0).strip()))
     return violations
 
 
@@ -211,6 +240,29 @@ def self_test(root):
             "}  // namespace sqlclass\n",
             expect="AddressKeyedForLintSelfTest",
             label="pointer-keyed std::map ordering"),
+        Injection(
+            cc_table,
+            "\nnamespace sqlclass {\n"
+            "void HandCountLoopForLintSelfTest(\n"
+            "    const std::vector<const Expr*>& predicates,\n"
+            "    const Value* values) {\n"
+            "  BatchMatcher matcher(predicates);\n"
+            "  std::vector<int> matches;\n"
+            "  matcher.Match(values, &matches);\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="HandCountLoopForLintSelfTest",
+            label="BatchMatcher match loop outside the count kernel"),
+        Injection(
+            cc_table,
+            "\nnamespace sqlclass {\n"
+            "void HeapMatcherForLintSelfTest(\n"
+            "    const std::vector<const Expr*>& predicates) {\n"
+            "  auto matcher = std::make_unique<BatchMatcher>(predicates);\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="HeapMatcherForLintSelfTest",
+            label="heap-built BatchMatcher outside the count kernel"),
     ]
     return run_self_test(cases, check_file, "determinism")
 
@@ -235,6 +287,10 @@ def main():
         if kind == "banned-call":
             return (f"`{v[4]}` in {v[2]}() — unseeded/wall-clock source; "
                     "byte-identity cannot survive it")
+        if kind == "hand-count":
+            return (f"`{v[4]}` in {v[2]}() — count batches through "
+                    "CountBatch (middleware/count_batch.h), not a "
+                    "hand-written BatchMatcher loop")
         if kind == "unordered-iter":
             return (f"iteration over unordered container `{v[4]}` feeds an "
                     f"order-sensitive sink in {v[2]}() — hash order is "
@@ -251,7 +307,8 @@ def main():
     if code == 0:
         print(f"determinism lint: clean — {len(paths)} files, no unseeded "
               "randomness, no unordered iteration into order-sensitive "
-              "sinks, no address-keyed ordering")
+              "sinks, no address-keyed ordering, no hand-written count "
+              "loops")
     return code
 
 
