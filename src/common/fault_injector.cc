@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/env.h"
 #include "common/logging.h"
 
 namespace sqlclass {
@@ -46,9 +47,15 @@ bool ParseCodeToken(const std::string& token, StatusCode* out) {
 FaultInjector::FaultInjector() : rng_(kDefaultSeed) {
   const char* spec = std::getenv("SQLCLASS_FAULTS");
   const char* seed = std::getenv("SQLCLASS_FAULTS_SEED");
-  if (seed != nullptr) {
-    MutexLock lock(mu_);
-    rng_.seed(std::strtoull(seed, nullptr, 10));
+  if (seed != nullptr && seed[0] != '\0') {
+    const std::optional<int64_t> parsed = EnvInt("SQLCLASS_FAULTS_SEED");
+    if (parsed.has_value() && *parsed >= 0) {
+      MutexLock lock(mu_);
+      rng_.seed(static_cast<uint64_t>(*parsed));
+    } else {
+      SQLCLASS_LOG(kError) << "ignoring malformed SQLCLASS_FAULTS_SEED: "
+                           << seed;
+    }
   }
   if (spec != nullptr && spec[0] != '\0') {
     Status st = LoadFromSpec(spec);

@@ -61,7 +61,8 @@ extern std::atomic<bool> g_enabled;
 /// (fire at most M times), `prob:P` (fire eligible hits with probability P,
 /// drawn from the seeded stream), `code:{io,dataloss,notfound,internal,
 /// resource}` (Status code to inject; default io). The seed comes from
-/// SQLCLASS_FAULTS_SEED (default 42) or SetSeed().
+/// SQLCLASS_FAULTS_SEED (default 42; a value that is not a whole
+/// non-negative base-10 integer is logged and ignored) or SetSeed().
 ///
 /// Thread-safe: all state sits behind one mutex; the fast path (nothing
 /// armed anywhere) never takes it.

@@ -24,8 +24,6 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
   }
   const int num_classes = schema.attribute(class_column).cardinality;
   const uint64_t words = index->words_per_bitmap();
-  CostCounters scratch;  // charge sink when the caller passes none
-  CostCounters& charges = cost != nullptr ? *cost : scratch;
 
   std::vector<uint64_t> node_bm(words);
   std::vector<std::vector<uint64_t>> slices(
@@ -58,13 +56,13 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
       }
       SQLCLASS_ASSIGN_OR_RETURN(const uint64_t* bm,
                                 index->BitmapWords(lit.column, lit.value));
-      charges.mw_bitmap_words_read += words;
+      cost->mw_bitmap_words_read += words;
       if (lit.equals) {
         FoldAnd(node_bm.data(), bm, words);
       } else {
         FoldAndNot(node_bm.data(), bm, words);
       }
-      charges.mw_bitmap_and_ops += words;
+      cost->mw_bitmap_and_ops += words;
     }
     if (node_empty) std::fill(node_bm.begin(), node_bm.end(), 0);
 
@@ -75,11 +73,11 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
     for (int k = 0; k < num_classes; ++k) {
       SQLCLASS_ASSIGN_OR_RETURN(const uint64_t* class_bm,
                                 index->BitmapWords(class_column, k));
-      charges.mw_bitmap_words_read += words;
+      cost->mw_bitmap_words_read += words;
       AndInto(node_bm.data(), class_bm, slices[k].data(), words);
-      charges.mw_bitmap_and_ops += words;
+      cost->mw_bitmap_and_ops += words;
       const uint64_t total = PopcountWords(slices[k].data(), words);
-      charges.mw_bitmap_popcounts += words;
+      cost->mw_bitmap_popcounts += words;
       cc.AddClassTotal(k, static_cast<int64_t>(total));
     }
 
@@ -94,13 +92,13 @@ Status BitmapCountScan::Run(BitmapIndexReader* index, const Schema& schema,
         SQLCLASS_ASSIGN_OR_RETURN(
             const uint64_t* bm,
             index->BitmapWords(attr, static_cast<Value>(v)));
-        charges.mw_bitmap_words_read += words;
+        cost->mw_bitmap_words_read += words;
         int64_t any = 0;
         for (int k = 0; k < num_classes; ++k) {
           class_counts[k] =
               static_cast<int64_t>(AndPopcount(slices[k].data(), bm, words));
-          charges.mw_bitmap_and_ops += words;
-          charges.mw_bitmap_popcounts += words;
+          cost->mw_bitmap_and_ops += words;
+          cost->mw_bitmap_popcounts += words;
           any += class_counts[k];
         }
         if (any == 0) continue;

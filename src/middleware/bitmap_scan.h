@@ -33,7 +33,7 @@ class BitmapCountScan {
   static bool Servable(const Expr* predicate);
 
   /// Builds every node's CC table of `counts` from `index`; each node's
-  /// tally is the popcount of its node bitmap. `cost` (nullable) takes the
+  /// tally is the popcount of its node bitmap. `cost` (non-null) takes the
   /// logical mw_bitmap_* charges; physical reads land on the counters the
   /// index reader was opened with. Charges are per node and independent of
   /// the reader's cache state, so simulated cost is deterministic across

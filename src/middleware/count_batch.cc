@@ -1,6 +1,7 @@
 #include "middleware/count_batch.h"
 
 #include <cassert>
+#include <string>
 
 namespace sqlclass {
 
@@ -69,6 +70,33 @@ CcTable CountBatch::Take(size_t pos) {
   CcTable taken = std::move(ccs_[pos]);
   ccs_[pos] = CcTable(plan_->num_classes);
   return taken;
+}
+
+Status PrepareRequest(const Schema& schema, uint64_t table_rows,
+                      CcRequest* request) {
+  if (request->predicate == nullptr) request->predicate = Expr::True();
+  SQLCLASS_RETURN_IF_ERROR(request->predicate->Bind(schema));
+  if (request->active_attrs.empty()) {
+    return Status::InvalidArgument("request with no attributes to count");
+  }
+  for (int attr : request->active_attrs) {
+    if (attr < 0 || attr >= schema.num_columns() ||
+        attr == schema.class_column()) {
+      return Status::InvalidArgument("bad attribute column in request");
+    }
+  }
+  if (request->parent_id < 0) request->data_size = table_rows;
+  return Status::OK();
+}
+
+Status CheckCounted(const CcRequest& request, const CcTable& cc) {
+  if (request.data_size_is_estimate ||
+      static_cast<uint64_t>(cc.TotalRows()) == request.data_size) {
+    return Status::OK();
+  }
+  return Status::Internal("counted " + std::to_string(cc.TotalRows()) +
+                          " rows for node " + std::to_string(request.node_id) +
+                          ", expected " + std::to_string(request.data_size));
 }
 
 }  // namespace sqlclass

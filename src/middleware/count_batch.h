@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "catalog/row.h"
+#include "catalog/schema.h"
 #include "common/status.h"
 #include "middleware/batch_matcher.h"
 #include "mining/cc_provider.h"
@@ -116,6 +117,18 @@ class CountBatch {
   std::vector<char> dropped_;
   std::vector<int> matches_;  // CountRow scratch
 };
+
+/// Readies a queued CC request for counting: a null predicate becomes TRUE,
+/// the predicate is bound against `schema`, and the active attributes must
+/// be non-class columns of it. A root request (no parent) counts the whole
+/// table, `table_rows`.
+[[nodiscard]] Status PrepareRequest(const Schema& schema, uint64_t table_rows,
+                                    CcRequest* request);
+
+/// The exact-count invariant: a node's CC table totals its requested data
+/// size. kInternal otherwise, unless that size is an estimate (the node
+/// descends from a sample-served CC, and the exact count is the truth).
+[[nodiscard]] Status CheckCounted(const CcRequest& request, const CcTable& cc);
 
 /// Drains `source` — anything with `StatusOr<bool> Next(Row*)`, such as a
 /// server cursor or a heap-file reader — through `counts`, adding each row

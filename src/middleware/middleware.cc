@@ -1,21 +1,45 @@
 #include "middleware/middleware.h"
 
-#include "middleware/bitmap_scan.h"
-#include "middleware/sample_scan.h"
-
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <optional>
 #include <set>
 
 #include "common/logging.h"
-#include "common/retry.h"
+#include "middleware/bitmap_scan.h"
 #include "middleware/count_batch.h"
 #include "middleware/parallel_scan.h"
+#include "middleware/sample_scan.h"
 #include "mining/cc_sql.h"
 
 namespace sqlclass {
+
+namespace {
+
+/// Adds one server pass's report to the middleware's counters and to the
+/// batch's trace.
+void AddPassReport(const PassReport& report,
+                   ClassificationMiddleware::Stats* stats,
+                   ClassificationMiddleware::BatchTrace* trace) {
+  AddEngineCounters(report, stats);
+  stats->checksum_failures += report.checksum_failures;
+  trace->scan_retries += static_cast<int>(report.retries);
+  trace->bitmap_fallback |= report.bitmap_fallback;
+  trace->shard_fallback |= report.shard_fallback;
+  trace->shard_rescans += static_cast<int>(report.shard_rescans);
+  trace->shard_replica_rescans +=
+      static_cast<int>(report.shard_replica_rescans);
+  trace->shard_rpc_timeouts += static_cast<int>(report.shard_rpc_timeouts);
+  trace->shard_worker_restarts +=
+      static_cast<int>(report.shard_worker_restarts);
+  if (!report.status.ok()) return;
+  trace->rows_scanned = report.rows_scanned;
+  trace->served_from_bitmap = report.engine == PassEngine::kBitmap;
+  trace->served_from_shards = report.engine == PassEngine::kShards;
+  if (report.engine == PassEngine::kRows) ++stats->server_scans;
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<ClassificationMiddleware>>
 ClassificationMiddleware::Create(SqlServer* server, const std::string& table,
@@ -63,21 +87,18 @@ ClassificationMiddleware::ClassificationMiddleware(SqlServer* server,
       estimator_(schema_),
       staging_(std::make_unique<StagingManager>(config_.staging_dir,
                                                 schema_.num_columns(),
-                                                &server->cost_counters())) {}
+                                                &server->cost_counters())),
+      server_pass_(server,
+                   ServerPass::Options{
+                       .cache_readers = true,
+                       .filter_pushdown = config_.enable_filter_pushdown,
+                       .parallel_scan_threads = config_.parallel_scan_threads,
+                       .parallel_scan_min_rows = config_.parallel_scan_min_rows,
+                       .sharding = config_.sharding,
+                       .scan_retry = config_.scan_retry}) {}
 
 Status ClassificationMiddleware::QueueRequest(CcRequest request) {
-  if (request.predicate == nullptr) request.predicate = Expr::True();
-  SQLCLASS_RETURN_IF_ERROR(request.predicate->Bind(schema_));
-  if (request.active_attrs.empty()) {
-    return Status::InvalidArgument("request with no attributes to count");
-  }
-  for (int attr : request.active_attrs) {
-    if (attr < 0 || attr >= schema_.num_columns() ||
-        attr == schema_.class_column()) {
-      return Status::InvalidArgument("bad attribute column in request");
-    }
-  }
-  if (request.parent_id < 0) request.data_size = table_rows_;
+  SQLCLASS_RETURN_IF_ERROR(PrepareRequest(schema_, table_rows_, &request));
 
   Pending pending;
   pending.seq = next_seq_++;
@@ -271,16 +292,15 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   trace.file_split = plan.file_split;
 
   // Per-attempt scan state. A recovery pass (staging abort, degradation to
-  // the server, transient retry) rebuilds all of it from scratch, so the
-  // one pass that succeeds fully determines the delivered CC tables — that
-  // is what makes recovered results byte-identical to a fault-free run.
-  // Charges from failed passes stay in the cost counters: the work really
-  // happened, and honest accounting is part of the degradation contract.
+  // the server, engine fallback, transient retry) rebuilds all of it from
+  // scratch, so the one pass that succeeds fully determines the delivered
+  // CC tables — that is what makes recovered results byte-identical to a
+  // fault-free run. Charges from failed passes stay in the cost counters:
+  // the work really happened, and honest accounting is part of the
+  // degradation contract.
   DataLocation source = plan.source;
   bool staging_enabled = !plan.staging.empty();
-  bool use_bitmap = plan.from_bitmap;
   bool use_sample = plan.from_sample;
-  bool use_shards = plan.from_shards;
   std::vector<bool> fallback(n, false);
   std::vector<bool> escalate(n, false);
   std::vector<size_t> observed_bytes(n, 0);
@@ -296,22 +316,10 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
   }
   CountBatch counts(nodes, class_column, num_classes_);
 
-  auto reset_state = [&]() {
-    counts.Reset();
-    std::fill(fallback.begin(), fallback.end(), false);
-    std::fill(escalate.begin(), escalate.end(), false);
-    std::fill(observed_bytes.begin(), observed_bytes.end(), 0);
-    trace.rows_scanned = 0;
-    rows_since_check = 0;
-    staging_fault = false;
-  };
-
   // Opens fresh staging stores for the planned nodes (Rule 4: batch nodes
-  // only) and computes the memory left for CC tables during this scan:
-  // total budget minus staged data already resident minus the reservations
-  // for this batch's memory staging (which fills up as the scan proceeds).
-  auto begin_staging = [&]() -> Status {
-    size_t planned_memory_bytes = 0;
+  // only), adding the memory staging will fill during the scan to
+  // `*planned_memory_bytes`.
+  auto begin_staging = [&](size_t* planned_memory_bytes) -> Status {
     for (const StageDecision& decision : plan.staging) {
       const int pos = decision.idx;
       DataLocation loc;
@@ -320,16 +328,11 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
         SQLCLASS_ASSIGN_OR_RETURN(loc.store_id, staging_->BeginFileStore());
       } else {
         loc.store_id = staging_->BeginMemoryStore();
-        planned_memory_bytes +=
+        *planned_memory_bytes +=
             batch[pos].request.data_size * staging_->RowBytes();
       }
       stage_into[pos] = loc;
     }
-    const size_t memory_baseline =
-        staging_->memory_bytes_used() + planned_memory_bytes;
-    cc_available = config_.memory_budget_bytes > memory_baseline
-                       ? config_.memory_budget_bytes - memory_baseline
-                       : 0;
     return Status::OK();
   };
 
@@ -345,6 +348,43 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
       }
       stage_into[pos].reset();
     }
+  };
+
+  // Starts one pass attempt from scratch: drops what the last attempt
+  // staged, resets the scan state and reopens the staging stores. Returns
+  // whether this attempt stages rows.
+  auto begin_attempt = [&]() -> bool {
+    abort_staging();
+    counts.Reset();
+    std::fill(fallback.begin(), fallback.end(), false);
+    std::fill(escalate.begin(), escalate.end(), false);
+    std::fill(observed_bytes.begin(), observed_bytes.end(), 0);
+    trace.rows_scanned = 0;
+    rows_since_check = 0;
+    staging_fault = false;
+    size_t planned_memory_bytes = 0;
+    if (staging_enabled) {
+      Status staged = begin_staging(&planned_memory_bytes);
+      if (!staged.ok()) {
+        // Could not even create the stores (staging dir deleted, disk
+        // full): give up staging for this batch, keep counting.
+        abort_staging();
+        planned_memory_bytes = 0;
+        staging_enabled = false;
+        ++stats_.staging_aborts;
+        trace.staging_aborted = true;
+        SQLCLASS_LOG(kWarning) << "staging disabled for batch " << trace.batch
+                               << ": " << staged.ToString();
+      }
+    }
+    // The memory left for CC tables during this scan: the budget minus
+    // staged data already resident minus this batch's memory staging.
+    const size_t memory_baseline =
+        staging_->memory_bytes_used() + planned_memory_bytes;
+    cc_available = config_.memory_budget_bytes > memory_baseline
+                       ? config_.memory_budget_bytes - memory_baseline
+                       : 0;
+    return staging_enabled;
   };
 
   // Runtime handling of estimation error (§4.1.1): when the batch's actual
@@ -403,40 +443,59 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
     return Status::OK();
   };
 
-  // §4.3.1: the (S_1 OR ... OR S_k) pushdown filter — null when any node
-  // wants the whole source (or pushdown is disabled).
-  auto build_pushdown_filter = [&]() -> std::unique_ptr<Expr> {
-    if (!config_.enable_filter_pushdown) return nullptr;
-    std::vector<std::unique_ptr<Expr>> clauses;
-    for (const Pending& pending : batch) {
-      if (pending.request.predicate->kind() == ExprKind::kTrue) return nullptr;
-      clauses.push_back(pending.request.predicate->Clone());
-    }
-    if (clauses.empty()) return nullptr;
-    return Expr::Or(std::move(clauses));
+  // Rule 7 service: build every node's *sample* CC from the table's
+  // scramble. Whether a sampled answer is good enough is decided per node
+  // after the pass (the confidence gate); any recoverable failure here —
+  // open fault, read fault, checksum mismatch — drops to the exact server
+  // pass and the same batch is served exactly in this same FulfillSome
+  // call.
+  auto sample_pass = [&]() -> Status {
+    SQLCLASS_ASSIGN_OR_RETURN(SampleFileReader * reader, SampleReader());
+    SQLCLASS_RETURN_IF_ERROR(
+        SampleCountScan::Run(reader, schema_, &counts, &cost));
+    trace.rows_scanned = reader->num_rows();
+    trace.served_from_sample = true;
+    return Status::OK();
   };
 
-  // The serial pass over the source, feeding every row through
-  // process_row (counting, staging, mid-scan overflow checks).
-  auto scan_serial = [&]() -> Status {
-    switch (source.kind) {
-      case LocationKind::kServer: {
-        std::string sql = "SELECT * FROM " + table_;
-        if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
-          sql += " WHERE " + filter->ToSql();
-        }
-        SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<ServerCursor> cursor,
-                                  server_->OpenCursorSql(sql));
-        Row row;
-        while (true) {
-          SQLCLASS_ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-          if (!more) break;
-          SQLCLASS_RETURN_IF_ERROR(process_row(row));
-        }
-        ++stats_.server_scans;
-        break;
+  // One pass over a staged store (§4.1.1). Large stores with no staging go
+  // through the morsel-parallel path: it builds the identical CC tables and
+  // charges the identical logical costs (see DESIGN.md "Count kernel");
+  // overflow is checked once after the merge instead of mid-scan, which
+  // staging-free batches tolerate.
+  auto staged_pass = [&]() -> Status {
+    const int scan_threads =
+        ResolveParallelThreads(config_.parallel_scan_threads);
+    SQLCLASS_ASSIGN_OR_RETURN(const uint64_t source_rows,
+                              staging_->StoreRows(source));
+    if (scan_threads > 1 && !staging_enabled &&
+        source_rows >= config_.parallel_scan_min_rows) {
+      ThreadPool* pool = server_pass_.ScanPool(scan_threads);
+      ParallelScanOptions options;
+      ParallelScanResult scan;
+      if (source.kind == LocationKind::kFile) {
+        options.charge.mw_file_read = true;
+        SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
+                                  staging_->FileStorePath(source.store_id));
+        SQLCLASS_ASSIGN_OR_RETURN(
+            scan, ParallelCountScan::OverHeapFile(
+                      pool, path, schema_.num_columns(), options, &counts,
+                      &cost, &staging_->io_counters()));
+        ++stats_.file_scans;
+      } else {
+        options.charge.mw_memory_read = true;
+        SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
+                                  staging_->GetMemoryStore(source.store_id));
+        SQLCLASS_ASSIGN_OR_RETURN(
+            scan, ParallelCountScan::OverMemoryStore(pool, *store, options,
+                                                     &counts, &cost));
+        ++stats_.memory_scans;
       }
-      case LocationKind::kFile: {
+      trace.rows_scanned = scan.rows_delivered;
+      return Status::OK();
+    }
+    const Status scanned = [&]() -> Status {
+      if (source.kind == LocationKind::kFile) {
         SQLCLASS_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> rows,
                                   staging_->OpenFileStore(source.store_id));
         Row row;
@@ -446,212 +505,61 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
           SQLCLASS_RETURN_IF_ERROR(process_row(row));
         }
         ++stats_.file_scans;
-        break;
+        return Status::OK();
       }
-      case LocationKind::kMemory: {
-        SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
-                                  staging_->GetMemoryStore(source.store_id));
-        const size_t rows = store->num_rows();
-        const int width = store->num_columns();
-        Row row(width);
-        for (size_t r = 0; r < rows; ++r) {
-          const Value* values = store->RowAt(r);
-          row.assign(values, values + width);
-          ++cost.mw_memory_rows_read;
-          SQLCLASS_RETURN_IF_ERROR(process_row(row));
-        }
-        ++stats_.memory_scans;
-        break;
+      SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
+                                staging_->GetMemoryStore(source.store_id));
+      const size_t rows = store->num_rows();
+      const int width = store->num_columns();
+      Row row(width);
+      for (size_t r = 0; r < rows; ++r) {
+        const Value* values = store->RowAt(r);
+        row.assign(values, values + width);
+        ++cost.mw_memory_rows_read;
+        SQLCLASS_RETURN_IF_ERROR(process_row(row));
       }
-    }
-    return Status::OK();
-  };
-
-  // ---- One pass over the chosen source (§4.1.1). Routes large scans with
-  // no staging through the morsel-parallel path: it builds the identical CC
-  // tables and charges the identical logical costs (see DESIGN.md "Count
-  // kernel"); overflow is checked once after the merge instead of
-  // mid-scan, which staging-free batches tolerate.
-  auto run_pass = [&]() -> Status {
-    // Rule 7 service: build every node's *sample* CC from the table's
-    // scramble. Whether a sampled answer is good enough is decided per
-    // node after the pass (the confidence gate); any failure here — open
-    // fault, read fault, checksum mismatch — drops to the exact rungs of
-    // the recovery ladder below and the same batch is served exactly in
-    // this same FulfillSome call.
-    if (use_sample && source.kind == LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(SampleFileReader * reader, SampleReader());
-      SQLCLASS_RETURN_IF_ERROR(
-          SampleCountScan::Run(reader, schema_, &counts, &cost));
-      trace.rows_scanned = reader->num_rows();
-      trace.served_from_sample = true;
+      ++stats_.memory_scans;
       return Status::OK();
-    }
-    // Rule 0 service: answer every admitted node straight from the bitmap
-    // index. No rows are delivered — the per-word charges in
-    // BitmapCountScan::Run replace the per-row scan costs entirely. Any
-    // failure here (open fault, read fault, checksum mismatch) drops to
-    // the row-scan rung of the recovery ladder below, which rebuilds the
-    // identical CC tables the expensive way.
-    if (use_bitmap && source.kind == LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(BitmapIndexReader * index, BitmapReader());
-      SQLCLASS_RETURN_IF_ERROR(
-          BitmapCountScan::Run(index, schema_, &counts, &cost));
-      trace.rows_scanned = 0;  // counts, not rows, flowed from the source
-      trace.served_from_bitmap = true;
-      ++stats_.bitmap_scans;
-      return Status::OK();
-    }
-    // Rule 8 service: fan the batch out over the table's shard set and
-    // merge the per-shard partial CC tables in fixed shard order —
-    // byte-identical to the row-scan paths below at every shard and worker
-    // count. A dead shard is re-scanned from the primary heap file inside
-    // the coordinator; only a pass the coordinator itself cannot recover
-    // (map fault, primary re-scan fault) drops to the shard rung of the
-    // recovery ladder, which re-serves the batch by an ordinary row scan.
-    if (use_shards && source.kind == LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(ShardCoordinator * coordinator, ShardSet());
-      const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
-      const int resolved =
-          workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
-                       : workers;
-      if (shard_transport_ == nullptr) {
-        shard_transport_ = MakeShardTransport(config_.sharding);
-      }
-      const uint64_t timeouts_before = shard_transport_->rpc_timeouts();
-      const uint64_t restarts_before = shard_transport_->worker_restarts();
-      ShardCoordinator::Result shard_result;
-      const Status ran =
-          coordinator->Run(resolved > 1 ? ScanPool(resolved) : nullptr,
-                           shard_transport_.get(), &counts, &cost,
-                           &shard_result);
-      // RPC hardening activity is metered even when the pass ultimately
-      // fails — the fault-injection tests reconcile these against the
-      // injected fault counts.
-      const int timeouts = static_cast<int>(shard_transport_->rpc_timeouts() -
-                                            timeouts_before);
-      const int restarts = static_cast<int>(
-          shard_transport_->worker_restarts() - restarts_before);
-      trace.shard_rpc_timeouts += timeouts;
-      trace.shard_worker_restarts += restarts;
-      stats_.shard_rpc_timeouts += timeouts;
-      stats_.shard_worker_restarts += restarts;
-      SQLCLASS_RETURN_IF_ERROR(ran);
-      trace.rows_scanned = shard_result.rows_scanned;
-      trace.served_from_shards = true;
-      trace.shard_rescans += shard_result.rescans;
-      trace.shard_replica_rescans += shard_result.replica_rescans;
-      stats_.shard_rescans += shard_result.rescans;
-      stats_.shard_replica_rescans += shard_result.replica_rescans;
-      ++stats_.shard_scans;
-      return Status::OK();
-    }
-    const int scan_threads =
-        ResolveParallelThreads(config_.parallel_scan_threads);
-    uint64_t source_rows = table_rows_;
-    if (source.kind != LocationKind::kServer) {
-      SQLCLASS_ASSIGN_OR_RETURN(source_rows, staging_->StoreRows(source));
-    }
-    const bool use_parallel = scan_threads > 1 && !staging_enabled &&
-                              source_rows >= config_.parallel_scan_min_rows;
-    if (use_parallel) {
-      ParallelScanOptions options;
-      std::unique_ptr<Expr> filter;  // must outlive the scan
-      ParallelScanResult scan;
-      switch (source.kind) {
-        case LocationKind::kServer: {
-          filter = build_pushdown_filter();
-          if (filter != nullptr) {
-            SQLCLASS_RETURN_IF_ERROR(filter->Bind(schema_));
-          }
-          options.filter = filter.get();
-          options.charge.server_row_evaluated = true;
-          options.charge.cursor_transfer = true;
-          ++cost.server_scans;  // what OpenCursor charges at open
-          SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                                    server_->TableHeapPath(table_));
-          SQLCLASS_ASSIGN_OR_RETURN(
-              scan, ParallelCountScan::OverHeapFile(
-                        ScanPool(scan_threads), path, schema_.num_columns(),
-                        options, &counts, &cost, &server_->io_counters()));
-          ++stats_.server_scans;
-          break;
-        }
-        case LocationKind::kFile: {
-          options.charge.mw_file_read = true;
-          SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                                    staging_->FileStorePath(source.store_id));
-          SQLCLASS_ASSIGN_OR_RETURN(
-              scan, ParallelCountScan::OverHeapFile(
-                        ScanPool(scan_threads), path, schema_.num_columns(),
-                        options, &counts, &cost, &staging_->io_counters()));
-          ++stats_.file_scans;
-          break;
-        }
-        case LocationKind::kMemory: {
-          options.charge.mw_memory_read = true;
-          SQLCLASS_ASSIGN_OR_RETURN(const InMemoryRowStore* store,
-                                    staging_->GetMemoryStore(source.store_id));
-          SQLCLASS_ASSIGN_OR_RETURN(
-              scan, ParallelCountScan::OverMemoryStore(
-                        ScanPool(scan_threads), *store, options, &counts,
-                        &cost));
-          ++stats_.memory_scans;
-          break;
-        }
-      }
-      trace.rows_scanned = scan.rows_delivered;
-    } else {
-      const Status scanned = scan_serial();
-      // The kernel charges nothing: every row counted — also before a
-      // mid-pass fault — is charged here, once.
-      cost.mw_cc_updates += counts.CcUpdates();
-      SQLCLASS_RETURN_IF_ERROR(scanned);
-    }
-    return Status::OK();
+    }();
+    // The kernel charges nothing: every row counted — also before a
+    // mid-pass fault — is charged here, once.
+    cost.mw_cc_updates += counts.CcUpdates();
+    return scanned;
   };
 
   // ---- Recovery driver: run the pass, and on a recoverable fault walk the
-  // degradation ladder (each rung can be taken at most once or a bounded
-  // number of times, so the loop terminates):
-  //   1. staging write failed       -> rescan the same source, staging off
-  //   2. staged source failed       -> invalidate the store, degrade to the
+  // degradation ladder (each rung is taken at most once, so the loop
+  // terminates):
+  //   1. sample pass failed         -> serve the batch exactly
+  //   2. staging write failed       -> rescan the same source, staging off
+  //   3. staged source failed       -> invalidate the store, degrade to the
   //                                    server (graceful degradation up the
   //                                    staging hierarchy, §4.1.2)
-  //   3. server source failed       -> bounded exponential-backoff retries
-  // Anything else — or rung 3 exhausted — fails the batch with a Status
-  // that names the code, source, and attempt count.
-  int attempt = 1;
+  // A server-table pass walks its own engine rungs and retries inside
+  // ServerPass (DESIGN.md "Fault tolerance & degraded modes"). Anything
+  // else fails the batch with a Status that names the code.
+  const PassRows server_rows{begin_attempt, process_row};
+  std::vector<PassEngine> rungs;
+  if (plan.from_bitmap) rungs.push_back(PassEngine::kBitmap);
+  if (plan.from_shards) rungs.push_back(PassEngine::kShards);
+  rungs.push_back(PassEngine::kRows);
   while (true) {
-    reset_state();
-    if (staging_enabled) {
-      Status staged = begin_staging();
-      if (!staged.ok()) {
-        // Could not even create the stores (staging dir deleted, disk
-        // full): give up staging for this batch, keep counting.
-        abort_staging();
-        staging_enabled = false;
-        ++stats_.staging_aborts;
-        trace.staging_aborted = true;
-        SQLCLASS_LOG(kWarning) << "staging disabled for batch " << trace.batch
-                               << ": " << staged.ToString();
-        continue;
-      }
+    Status pass;
+    if (source.kind == LocationKind::kServer && !use_sample) {
+      const PassReport report = server_pass_.Run(
+          table_, schema_, table_rows_, &counts, rungs, &server_rows);
+      AddPassReport(report, &stats_, &trace);
+      pass = report.status;
+      if (pass.ok()) break;
     } else {
-      cc_available = config_.memory_budget_bytes > staging_->memory_bytes_used()
-                         ? config_.memory_budget_bytes -
-                               staging_->memory_bytes_used()
-                         : 0;
+      begin_attempt();
+      pass = use_sample ? sample_pass() : staged_pass();
+      if (pass.ok()) break;
+      if (pass.code() == StatusCode::kDataLoss) ++stats_.checksum_failures;
     }
-    Status pass = run_pass();
-    if (pass.ok()) break;
 
     abort_staging();
-    if (pass.code() == StatusCode::kDataLoss) ++stats_.checksum_failures;
-    const bool recoverable = pass.code() == StatusCode::kIoError ||
-                             pass.code() == StatusCode::kDataLoss ||
-                             pass.code() == StatusCode::kNotFound;
-    if (!recoverable) return pass;
+    if (!RecoverableFailure(pass)) return pass;
     if (use_sample) {
       // Sample rung: the scramble failed mid-pass. Rule 7 is an
       // optimisation, never a correctness dependency — serve the same
@@ -665,35 +573,6 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
                              << ", serving exactly: " << pass.ToString();
       continue;
     }
-    if (use_bitmap) {
-      // Bitmap rung: the index failed (or rotted) mid-pass. Degrade
-      // transparently to the row-scan path — same source, same nodes,
-      // byte-identical results — and drop the reader so a later batch
-      // reopens the index from scratch.
-      use_bitmap = false;
-      bitmap_reader_.reset();
-      ++stats_.bitmap_fallbacks;
-      trace.bitmap_fallback = true;
-      SQLCLASS_LOG(kWarning) << "bitmap pass failed for batch " << trace.batch
-                             << ", falling back to row scan: "
-                             << pass.ToString();
-      continue;
-    }
-    if (use_shards) {
-      // Shard rung: the fan-out failed beyond the coordinator's own
-      // per-shard recovery (distribution-map fault, primary re-scan
-      // fault). Degrade transparently to the row-scan path — same source,
-      // same nodes, byte-identical results — and drop the coordinator so a
-      // later batch reopens the distribution map from scratch.
-      use_shards = false;
-      shard_coordinator_.reset();
-      ++stats_.shard_fallbacks;
-      trace.shard_fallback = true;
-      SQLCLASS_LOG(kWarning) << "shard pass failed for batch " << trace.batch
-                             << ", falling back to row scan: "
-                             << pass.ToString();
-      continue;
-    }
     if (staging_fault && staging_enabled) {
       staging_enabled = false;
       ++stats_.staging_aborts;
@@ -702,29 +581,16 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
                              << ": " << pass.ToString();
       continue;
     }
-    if (source.kind != LocationKind::kServer) {
-      InvalidateStore(source);
-      ++stats_.stores_invalidated;
-      ++stats_.degraded_scans;
-      trace.degraded_to_server = true;
-      SQLCLASS_LOG(kWarning) << "staged store failed mid-scan, re-servicing "
-                                "batch "
-                             << trace.batch
-                             << " from the server: " << pass.ToString();
-      source = DataLocation{LocationKind::kServer, 0};
-      continue;
-    }
-    if (attempt < config_.scan_retry.max_attempts) {
-      ++stats_.scan_retries;
-      ++trace.scan_retries;
-      SleepForBackoff(config_.scan_retry, attempt);
-      ++attempt;
-      continue;
-    }
-    return Status(pass.code(),
-                  "batch scan over table '" + table_ + "' failed after " +
-                      std::to_string(attempt) +
-                      " attempt(s): " + pass.message());
+    if (source.kind == LocationKind::kServer) return pass;  // retries spent
+    InvalidateStore(source);
+    ++stats_.stores_invalidated;
+    ++stats_.degraded_scans;
+    trace.degraded_to_server = true;
+    SQLCLASS_LOG(kWarning) << "staged store failed mid-scan, re-servicing "
+                              "batch "
+                           << trace.batch
+                           << " from the server: " << pass.ToString();
+    source = DataLocation{LocationKind::kServer, 0};
   }
   trace.source = source;  // where the surviving pass actually read from
   if (source.kind == LocationKind::kFile && plan.file_split) {
@@ -828,17 +694,7 @@ StatusOr<std::vector<CcResult>> ClassificationMiddleware::ExecuteBatch(
       ++trace.sql_fallbacks;
     }
     const Pending& pending = batch[pos];
-    // An estimated data size (the node descends from a sample-served CC)
-    // cannot be asserted against: the exact count delivered here *is* the
-    // truth the client reconciles with. Exact-sized requests keep the
-    // strict invariant.
-    if (!pending.request.data_size_is_estimate &&
-        static_cast<uint64_t>(cc.TotalRows()) != pending.request.data_size) {
-      return Status::Internal(
-          "counted " + std::to_string(cc.TotalRows()) +
-          " rows for node " + std::to_string(pending.request.node_id) +
-          ", expected " + std::to_string(pending.request.data_size));
-    }
+    SQLCLASS_RETURN_IF_ERROR(CheckCounted(pending.request, cc));
     estimator_.RecordCounted(pending.request.node_id, cc,
                              static_cast<uint64_t>(cc.TotalRows()),
                              pending.request.active_attrs);
@@ -867,24 +723,6 @@ void ClassificationMiddleware::InvalidateStore(const DataLocation& loc) {
   }
 }
 
-ThreadPool* ClassificationMiddleware::ScanPool(int threads) {
-  if (scan_pool_ == nullptr || scan_pool_->size() != threads) {
-    scan_pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return scan_pool_.get();
-}
-
-StatusOr<BitmapIndexReader*> ClassificationMiddleware::BitmapReader() {
-  if (bitmap_reader_ == nullptr) {
-    SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                              server_->BitmapIndexPath(table_));
-    SQLCLASS_ASSIGN_OR_RETURN(
-        bitmap_reader_,
-        BitmapIndexReader::Open(path, &server_->io_counters()));
-  }
-  return bitmap_reader_.get();
-}
-
 StatusOr<SampleFileReader*> ClassificationMiddleware::SampleReader() {
   if (sample_reader_ == nullptr) {
     SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
@@ -894,18 +732,6 @@ StatusOr<SampleFileReader*> ClassificationMiddleware::SampleReader() {
         SampleFileReader::Open(path, &server_->io_counters()));
   }
   return sample_reader_.get();
-}
-
-StatusOr<ShardCoordinator*> ClassificationMiddleware::ShardSet() {
-  if (shard_coordinator_ == nullptr) {
-    SQLCLASS_ASSIGN_OR_RETURN(const std::string heap_path,
-                              server_->TableHeapPath(table_));
-    SQLCLASS_ASSIGN_OR_RETURN(
-        shard_coordinator_,
-        ShardCoordinator::Open(heap_path, schema_,
-                               &server_->io_counters()));
-  }
-  return shard_coordinator_.get();
 }
 
 StatusOr<CcTable> ClassificationMiddleware::SqlFallback(

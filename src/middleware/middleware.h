@@ -10,15 +10,13 @@
 
 #include "catalog/schema.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "middleware/config.h"
 #include "middleware/estimator.h"
 #include "middleware/scheduler.h"
-#include "middleware/shard_scan.h"
+#include "middleware/server_pass.h"
 #include "middleware/staging.h"
 #include "mining/cc_provider.h"
 #include "server/server.h"
-#include "storage/bitmap/bitmap_index.h"
 #include "storage/sample/sample_file.h"
 
 namespace sqlclass {
@@ -217,22 +215,9 @@ class ClassificationMiddleware : public CcProvider {
   /// which is the honest price of losing the store.
   void InvalidateStore(const DataLocation& loc);
 
-  /// Lazily (re)creates the worker pool for morsel-parallel scans at the
-  /// resolved thread count. Workers exist only while scans need them.
-  ThreadPool* ScanPool(int threads);
-
-  /// Lazily opens (and caches) the reader over the server's bitmap index.
-  /// Reset after a failed bitmap pass so the next batch reopens cleanly.
-  [[nodiscard]] StatusOr<BitmapIndexReader*> BitmapReader();
-
   /// Lazily opens (and caches) the reader over the table's scramble.
   /// Reset after a failed sample pass so the next batch reopens cleanly.
   [[nodiscard]] StatusOr<SampleFileReader*> SampleReader();
-
-  /// Lazily opens (and caches) the coordinator over the table's shard set.
-  /// Reset after a failed shard pass so the next batch reopens the
-  /// distribution map from scratch.
-  [[nodiscard]] StatusOr<ShardCoordinator*> ShardSet();
 
   /// Plans and executes one batch against the current queue. Factored out
   /// of FulfillSome so an escalation-only batch (every sampled node
@@ -255,14 +240,10 @@ class ClassificationMiddleware : public CcProvider {
   uint64_t next_seq_ = 0;
   Stats stats_;
   std::vector<BatchTrace> trace_;
-  std::unique_ptr<ThreadPool> scan_pool_;  // lazily created, see ScanPool()
-  std::unique_ptr<BitmapIndexReader> bitmap_reader_;  // see BitmapReader()
-  std::unique_ptr<SampleFileReader> sample_reader_;   // see SampleReader()
-  std::unique_ptr<ShardCoordinator> shard_coordinator_;  // see ShardSet()
-  /// Transport behind the coordinator, built from config_.sharding on
-  /// first use (MakeShardTransport) and shared across batches so the
-  /// subprocess pool survives between passes.
-  std::unique_ptr<ShardTransport> shard_transport_;
+  std::unique_ptr<SampleFileReader> sample_reader_;  // see SampleReader()
+  /// Server-table passes; caches the bitmap reader and shard coordinator
+  /// across batches and owns the scan pool staged passes share.
+  ServerPass server_pass_;
   std::vector<SampleDecision> sample_decisions_;
 };
 

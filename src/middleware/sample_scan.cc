@@ -81,8 +81,6 @@ Status SampleCountScan::Run(SampleFileReader* reader, const Schema& schema,
   if (reader->num_columns() != static_cast<uint32_t>(schema.num_columns())) {
     return Status::InvalidArgument("scramble column count mismatch");
   }
-  CostCounters scratch;  // charge sink when the caller passes none
-  CostCounters& charges = cost != nullptr ? *cost : scratch;
 
   SQLCLASS_ASSIGN_OR_RETURN(const Value* rows, reader->SampleRows());
   const uint64_t sample_rows = reader->num_rows();
@@ -91,7 +89,7 @@ Status SampleCountScan::Run(SampleFileReader* reader, const Schema& schema,
   // Every node's predicate is evaluated against every sample row, so the
   // logical charge is per node and independent of how requests were
   // batched — the same invariance contract the bitmap path keeps.
-  charges.mw_sample_rows_read += sample_rows * counts->size();
+  cost->mw_sample_rows_read += sample_rows * counts->size();
 
   for (uint64_t r = 0; r < sample_rows; ++r) {
     counts->CountRow(rows + r * width);

@@ -44,7 +44,7 @@ class SampleCountScan {
  public:
   /// Counts the scramble into `counts`: each node's table holds its sample
   /// counts, unscaled, and its tally the sample rows matching its
-  /// predicate. `cost` (nullable) takes
+  /// predicate. `cost` (non-null) takes
   /// mw_sample_rows_read charges — one per sample row *per node*, so the
   /// simulated cost is batching-invariant; physical page reads land on the
   /// counters the reader was opened with.

@@ -114,8 +114,6 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Open(
 Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
                              CountBatch* counts, CostCounters* cost,
                              Result* result) {
-  CostCounters scratch;  // charge sink when the caller passes none
-  CostCounters& charges = cost != nullptr ? *cost : scratch;
 
   SQLCLASS_ASSIGN_OR_RETURN(const ShardInfo* entries, map_->ShardRows());
   const uint32_t shards = map_->num_shards();
@@ -191,8 +189,8 @@ Status ShardCoordinator::Run(ThreadPool* pool, ShardTransport* transport,
   // *final* merged tables — both totals are the same at every shard count
   // (the Rule 8 invariance contract; recovery re-reads show up only in
   // the physical IoCounters).
-  charges.mw_shard_rows_read += total_rows_scanned * static_cast<uint64_t>(n);
-  charges.mw_shard_merge_cells += merged_cells;
+  cost->mw_shard_rows_read += total_rows_scanned * static_cast<uint64_t>(n);
+  cost->mw_shard_merge_cells += merged_cells;
 
   if (io_ != nullptr) {
     for (uint32_t s = 0; s < shards; ++s) io_->Add(shard_io[s]);

@@ -133,7 +133,7 @@ class ShardCoordinator {
   /// Builds every node's CC table of `counts`: one partial per shard,
   /// merged in fixed shard order. Per-shard tasks run over `pool` via
   /// `transport` (both serial when pool is null or single-threaded).
-  /// `cost` (nullable) takes the logical mw_shard_* charges — per base row
+  /// `cost` (non-null) takes the logical mw_shard_* charges — per base row
   /// per node and per final merged cell, so simulated cost is invariant
   /// across shard and worker counts; physical reads land on per-worker
   /// counters folded into the Open-time `io`.

@@ -121,9 +121,8 @@ void ClassificationService::Shutdown() {
 }
 
 ServiceMetrics ClassificationService::Metrics() const {
-  ServiceMetrics metrics;
+  ServiceMetrics metrics = batcher_.ScanMetrics();
   manager_.FillMetrics(&metrics);
-  batcher_.FillMetrics(&metrics);
   return metrics;
 }
 

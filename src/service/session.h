@@ -115,13 +115,13 @@ struct ServiceConfig {
 
   /// Serve shared scans whose predicates are all conjunctive from the
   /// table's bitmap index (SqlServer::BuildBitmapIndex) by AND + popcount,
-  /// at per-bitmap-word cost instead of per-row cursor cost. A failed
-  /// bitmap pass falls back transparently to the row scan. Overridable at
-  /// runtime via SQLCLASS_BITMAP_INDEX=0/1.
+  /// at per-bitmap-word cost instead of per-row cursor cost. A bitmap pass
+  /// that fails recoverably falls back transparently to the shard or row
+  /// scan. Overridable at runtime via SQLCLASS_BITMAP_INDEX=0/1.
   bool use_bitmap_index = true;
 
   /// Backoff schedule for transient shared-scan faults (I/O errors,
-  /// checksum failures, vanished files). Each retry re-runs the whole pass
+  /// checksum failures, vanished files). Each retry re-runs the row scan
   /// from scratch, so the CC tables a successful retry delivers are
   /// identical to a fault-free scan's. A scan that exhausts its attempts
   /// fails every rider with a descriptive Status; sessions not riding that
@@ -144,7 +144,8 @@ struct ServiceConfig {
   /// shared scan is fanned out to per-shard workers and the partial CC
   /// tables merged in fixed shard order — byte-identical results at every
   /// shard and worker count, so every rider's accuracy contract is met. A
-  /// failed shard pass falls back transparently to the row scan.
+  /// shard pass that fails recoverably falls back transparently to the row
+  /// scan.
   ShardingConfig sharding;
 };
 
@@ -170,7 +171,7 @@ struct ServiceMetrics {
   uint64_t scan_retries = 0;   // transient scan faults retried with backoff
   uint64_t scan_failures = 0;  // scans that failed after exhausting retries
   uint64_t bitmap_scans = 0;   // scans served from the bitmap index
-  uint64_t bitmap_fallbacks = 0;  // bitmap passes degraded to row scans
+  uint64_t bitmap_fallbacks = 0;  // bitmap passes degraded to a later rung
   uint64_t shard_scans = 0;       // scans served by the sharded fan-out
   uint64_t shard_fallbacks = 0;   // shard passes degraded to row scans
   uint64_t shard_rescans = 0;     // dead shards recovered from the primary

@@ -1,21 +1,25 @@
 #include "service/shared_scan_batcher.h"
 
-#include "middleware/bitmap_scan.h"
-#include "storage/bitmap/bitmap_index.h"
-
 #include <algorithm>
 #include <utility>
 
-#include "common/retry.h"
+#include "middleware/bitmap_scan.h"
 #include "middleware/count_batch.h"
-#include "middleware/parallel_scan.h"
-#include "middleware/shard_scan.h"
 
 namespace sqlclass {
 
 SharedScanBatcher::SharedScanBatcher(SqlServer* server, Mutex* server_mu,
                                      const ServiceConfig& config)
-    : server_(server), server_mu_(server_mu), config_(config) {}
+    : server_(server),
+      server_mu_(server_mu),
+      config_(config),
+      pass_(server, ServerPass::Options{
+                        .filter_pushdown = config.enable_filter_pushdown,
+                        .parallel_scan_threads = config.parallel_scan_threads,
+                        .parallel_scan_min_rows = config.parallel_scan_min_rows,
+                        .sharding = config.sharding,
+                        .scan_retry = config.scan_retry,
+                        .server_mu = server_mu}) {}
 
 Status SharedScanBatcher::RegisterTable(const std::string& table) {
   Schema schema;
@@ -97,18 +101,7 @@ Status SharedScanBatcher::Enqueue(SessionId id, CcRequest request) {
   if (!s.error.ok()) return s.error;
   TableState& t = tables_.at(s.table);
 
-  if (request.predicate == nullptr) request.predicate = Expr::True();
-  SQLCLASS_RETURN_IF_ERROR(request.predicate->Bind(t.schema));
-  if (request.active_attrs.empty()) {
-    return Status::InvalidArgument("request with no attributes to count");
-  }
-  for (int attr : request.active_attrs) {
-    if (attr < 0 || attr >= t.schema.num_columns() ||
-        attr == t.schema.class_column()) {
-      return Status::InvalidArgument("bad attribute column in request");
-    }
-  }
-  if (request.parent_id < 0) request.data_size = t.rows;
+  SQLCLASS_RETURN_IF_ERROR(PrepareRequest(t.schema, t.rows, &request));
 
   PendingReq p;
   p.session = id;
@@ -258,7 +251,9 @@ void SharedScanBatcher::RunScan(const std::string& table,
 
   // The proportional share excludes CC-update work, which is attributed
   // exactly below (riders with small frontiers pay for their own counting).
-  CostCounters shared_delta = out.delta;
+  // A failed scan credits no share.
+  const PassReport& pass = out.pass;
+  CostCounters shared_delta = pass.status.ok() ? pass.cost : CostCounters();
   shared_delta.mw_cc_updates = 0;
 
   uint64_t delivered = 0;
@@ -267,8 +262,8 @@ void SharedScanBatcher::RunScan(const std::string& table,
     auto it = sessions_.find(sid);
     if (it == sessions_.end()) continue;  // unregistered mid-scan: drop
     SessionState& s = it->second;
-    if (!out.scan_status.ok()) {
-      if (s.error.ok()) s.error = out.scan_status;
+    if (!pass.status.ok()) {
+      if (s.error.ok()) s.error = pass.status;
       continue;
     }
     auto err = out.session_errors.find(sid);
@@ -290,21 +285,13 @@ void SharedScanBatcher::RunScan(const std::string& table,
     ++s.scans;
   }
 
-  ++scans_executed_;
-  ++scans_by_table_[table];
-  requests_fulfilled_ += delivered;
-  scan_session_slots_ += reqs_per_session.size();
-  rows_scanned_ += out.rows_scanned;
-  scan_retries_ += out.retries;
-  if (out.from_bitmap) ++bitmap_scans_;
-  if (out.bitmap_fallback) ++bitmap_fallbacks_;
-  if (out.from_shards) ++shard_scans_;
-  if (out.shard_fallback) ++shard_fallbacks_;
-  shard_rescans_ += out.shard_rescans;
-  shard_replica_rescans_ += out.shard_replica_rescans;
-  shard_rpc_timeouts_ += out.shard_rpc_timeouts;
-  shard_worker_restarts_ += out.shard_worker_restarts;
-  if (!out.scan_status.ok()) ++scan_failures_;
+  ++scans_.scans_executed;
+  ++scans_.scans_by_table[table];
+  scans_.requests_fulfilled += delivered;
+  scans_.scan_session_slots += reqs_per_session.size();
+  scans_.rows_scanned += pass.rows_scanned;
+  if (!pass.status.ok()) ++scans_.scan_failures;
+  AddEngineCounters(pass, &scans_);
 
   if (!only_session) t.scan_in_progress = false;
   cv_.NotifyAll();
@@ -314,43 +301,7 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScan(
     const std::string& table, const Schema& schema, int num_classes,
     uint64_t table_rows, const std::vector<PendingReq>& batch,
     const std::map<SessionId, size_t>& quotas) {
-  int attempt = 1;
-  while (true) {
-    ScanOutcome out =
-        ExecuteScanOnce(table, schema, num_classes, table_rows, batch, quotas);
-    out.retries = static_cast<uint64_t>(attempt - 1);
-    if (out.scan_status.ok()) return out;
-    const StatusCode code = out.scan_status.code();
-    const bool transient = code == StatusCode::kIoError ||
-                           code == StatusCode::kDataLoss ||
-                           code == StatusCode::kNotFound;
-    if (!transient || attempt >= config_.scan_retry.max_attempts) {
-      out.scan_status =
-          Status(code, "shared scan over table '" + table + "' failed after " +
-                           std::to_string(attempt) +
-                           " attempt(s): " + out.scan_status.message());
-      return out;
-    }
-    // Retrying rebuilds all CC tables from scratch, so riders see either a
-    // fault-free-identical result or the wrapped error above — never a
-    // partially counted table. Failed-attempt costs stay on the server
-    // counters (honest accounting) but are not credited to riders.
-    SleepForBackoff(config_.scan_retry, attempt);
-    ++attempt;
-  }
-}
-
-SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
-    const std::string& table, const Schema& schema, int num_classes,
-    uint64_t table_rows, const std::vector<PendingReq>& batch,
-    const std::map<SessionId, size_t>& quotas) {
-  ScanOutcome out;
   const int n = static_cast<int>(batch.size());
-
-  MutexLock server_lock(*server_mu_);
-  CostCounters& cost = server_->cost_counters();
-  const CostCounters before = cost;
-
   std::vector<CountBatch::Node> nodes;
   nodes.reserve(n);
   for (const PendingReq& p : batch) {
@@ -358,193 +309,42 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
   }
   CountBatch counts(nodes, schema.class_column(), num_classes);
 
-  // §4.3.1 OR-pushdown when every rider has a selective predicate.
-  auto build_pushdown_filter = [&]() -> std::unique_ptr<Expr> {
-    if (!config_.enable_filter_pushdown) return nullptr;
-    std::vector<std::unique_ptr<Expr>> clauses;
-    for (const PendingReq& p : batch) {
-      if (p.request.predicate->kind() == ExprKind::kTrue) return nullptr;
-      clauses.push_back(p.request.predicate->Clone());
-    }
-    if (clauses.empty()) return nullptr;
-    return Expr::Or(std::move(clauses));
-  };
-
-  // Bitmap-first routing: when every rider's predicate is conjunctive and
-  // the table carries a bitmap index, the whole cross-session batch is
-  // answered by AND + popcount — byte-identical CC tables at per-word
-  // cost. Any failure inside the bitmap pass (open fault, read fault,
-  // checksum mismatch) falls back transparently to the row-scan path
-  // below, with the partially built tables rebuilt from scratch.
-  bool bitmap_served = false;
-  if (ResolveUseBitmapIndex(config_.use_bitmap_index) &&
-      server_->HasBitmapIndex(table)) {
-    bool servable = true;
-    for (const PendingReq& p : batch) {
-      if (!BitmapCountScan::Servable(p.request.predicate.get())) {
-        servable = false;
-        break;
-      }
-    }
-    if (servable) {
-      Status bitmap_pass = [&]() -> Status {
-        SQLCLASS_ASSIGN_OR_RETURN(const std::string path,
-                                  server_->BitmapIndexPath(table));
-        // A fresh reader per scan: the index may have been rebuilt since
-        // the last scan, and the header re-read is one page.
-        SQLCLASS_ASSIGN_OR_RETURN(
-            std::unique_ptr<BitmapIndexReader> reader,
-            BitmapIndexReader::Open(path, &server_->io_counters()));
-        return BitmapCountScan::Run(reader.get(), schema, &counts, &cost);
-      }();
-      if (bitmap_pass.ok()) {
-        bitmap_served = true;
-        out.from_bitmap = true;
-      } else {
-        out.bitmap_fallback = true;
-        counts.Reset();
-      }
-    }
-  }
-
-  // Sharded scan-out (scheduler Rule 8 at the service layer): when the
-  // table carries a shard set, the whole cross-session batch fans out to
-  // per-shard workers and the partial CC tables merge in fixed shard order
-  // — byte-identical to the row-scan paths below at every shard and worker
-  // count. Any failure inside the shard pass (map fault, dead shard whose
-  // primary re-scan also fails) falls back transparently to the row scan,
-  // with the partially built tables rebuilt from scratch.
-  bool shard_served = false;
-  if (!bitmap_served && ResolveShardingEnabled(config_.sharding.enable) &&
-      server_->HasShardSet(table) &&
-      table_rows >= ResolveShardMinRows(config_.sharding.min_node_rows)) {
-    if (shard_transport_ == nullptr) {
-      shard_transport_ = MakeShardTransport(config_.sharding);
-    }
-    const uint64_t timeouts_before = shard_transport_->rpc_timeouts();
-    const uint64_t restarts_before = shard_transport_->worker_restarts();
-    Status shard_pass = [&]() -> Status {
-      SQLCLASS_ASSIGN_OR_RETURN(const std::string heap_path,
-                                server_->TableHeapPath(table));
-      // A fresh coordinator per scan: the shard set may have been rebuilt
-      // since the last scan, and the map re-read is one page.
-      SQLCLASS_ASSIGN_OR_RETURN(
-          std::unique_ptr<ShardCoordinator> coordinator,
-          ShardCoordinator::Open(heap_path, schema, &server_->io_counters()));
-      const int workers = ResolveShardWorkers(config_.sharding.worker_threads);
-      const int resolved =
-          workers == 0 ? static_cast<int>(ThreadPool::HardwareConcurrency())
-                       : workers;
-      if (resolved > 1 &&
-          (scan_pool_ == nullptr || scan_pool_->size() != resolved)) {
-        scan_pool_ = std::make_unique<ThreadPool>(resolved);
-      }
-      ShardCoordinator::Result result;
-      SQLCLASS_RETURN_IF_ERROR(
-          coordinator->Run(resolved > 1 ? scan_pool_.get() : nullptr,
-                           shard_transport_.get(), &counts, &cost, &result));
-      out.rows_scanned = result.rows_scanned;
-      out.shard_rescans = result.rescans;
-      out.shard_replica_rescans = result.replica_rescans;
-      return Status::OK();
-    }();
-    // RPC hardening activity is metered even when the pass fell back — the
-    // fault-injection tests reconcile these against the injected faults.
-    out.shard_rpc_timeouts = shard_transport_->rpc_timeouts() - timeouts_before;
-    out.shard_worker_restarts =
-        shard_transport_->worker_restarts() - restarts_before;
-    if (shard_pass.ok()) {
-      shard_served = true;
-      out.from_shards = true;
-      // Like the bitmap path, no per-session CC-update work exists to
-      // credit exactly: the merge charges mw_shard_* primitives, which the
-      // delta splits proportionally across riders.
-    } else {
-      out.shard_fallback = true;
-      out.rows_scanned = 0;
-      out.shard_rescans = 0;
-      out.shard_replica_rescans = 0;
-      counts.Reset();
-    }
-  }
-
   // One pass over the table for the whole cross-session batch (§4.1.1
-  // lifted across sessions). Large tables go through the morsel-parallel
-  // counting scan, which charges the identical logical costs.
-  const int scan_threads =
-      ResolveParallelThreads(config_.parallel_scan_threads);
-  if (!bitmap_served && !shard_served) {
-    // Counts, not rows, flow to the riders of a bitmap or shard pass, so
-    // only a row pass has per-session CC-update work to credit exactly.
-    Status scanned;
-    if (scan_threads > 1 && table_rows >= config_.parallel_scan_min_rows) {
-      ParallelScanOptions options;
-      std::unique_ptr<Expr> filter = build_pushdown_filter();
-      if (filter != nullptr) {
-        Status bind_status = filter->Bind(schema);
-        if (!bind_status.ok()) {
-          out.scan_status = bind_status;
-          return out;
-        }
-      }
-      options.filter = filter.get();
-      options.charge.server_row_evaluated = true;
-      options.charge.cursor_transfer = true;
+  // lifted across sessions). The index and the shard set are reopened for
+  // every scan: either may have been rebuilt since the last one.
+  std::vector<PassEngine> rungs;
+  if (ResolveUseBitmapIndex(config_.use_bitmap_index) &&
+      std::all_of(batch.begin(), batch.end(), [](const PendingReq& p) {
+        return BitmapCountScan::Servable(p.request.predicate.get());
+      })) {
+    rungs.push_back(PassEngine::kBitmap);
+  }
+  if (ResolveShardingEnabled(config_.sharding.enable) &&
+      table_rows >= ResolveShardMinRows(config_.sharding.min_node_rows)) {
+    rungs.push_back(PassEngine::kShards);
+  }
+  rungs.push_back(PassEngine::kRows);
+  ScanOutcome out;
+  out.pass = pass_.Run(table, schema, table_rows, &counts, rungs);
 
-      StatusOr<std::string> path_or = server_->TableHeapPath(table);
-      if (!path_or.ok()) {
-        out.scan_status = path_or.status();
-        return out;
-      }
-      if (scan_pool_ == nullptr || scan_pool_->size() != scan_threads) {
-        scan_pool_ = std::make_unique<ThreadPool>(scan_threads);
-      }
-      ++cost.server_scans;  // what OpenCursor charges at open
-      StatusOr<ParallelScanResult> scan = ParallelCountScan::OverHeapFile(
-          scan_pool_.get(), *path_or, schema.num_columns(), options, &counts,
-          &cost, &server_->io_counters());
-      if (scan.ok()) out.rows_scanned = scan->rows_delivered;
-      scanned = scan.status();
-    } else {
-      std::string sql = "SELECT * FROM " + table;
-      if (std::unique_ptr<Expr> filter = build_pushdown_filter()) {
-        sql += " WHERE " + filter->ToSql();
-      }
-      StatusOr<std::unique_ptr<ServerCursor>> cursor =
-          server_->OpenCursorSql(sql);
-      if (!cursor.ok()) {
-        out.scan_status = cursor.status();
-        return out;
-      }
-      scanned = CountAllRows(cursor->get(), &counts, &out.rows_scanned);
-      cost.mw_cc_updates += counts.CcUpdates();
-    }
-    // A failed parallel pass leaves `counts` empty; a failed serial pass
-    // credits the rows it counted before the fault.
+  // Counts, not rows, flow to the riders of a bitmap or shard pass, so only
+  // a row pass has per-session CC-update work to credit exactly. A failed
+  // parallel pass leaves the tallies empty; a failed serial pass credits
+  // the rows it counted before the fault.
+  if (out.pass.engine == PassEngine::kRows) {
     for (int i = 0; i < n; ++i) {
       const uint64_t updates =
           counts.rows(i) * batch[i].request.active_attrs.size();
       if (updates > 0) out.cc_updates[batch[i].session] += updates;
     }
-    if (!scanned.ok()) {
-      out.scan_status = scanned;
-      return out;
-    }
   }
+  if (!out.pass.status.ok()) return out;
 
   // Exact-count validation (same invariant the middleware enforces): a
   // mismatch poisons only the owning session, not its co-riders.
   for (int i = 0; i < n; ++i) {
-    const PendingReq& p = batch[i];
-    if (static_cast<uint64_t>(counts.cc(i).TotalRows()) !=
-        p.request.data_size) {
-      out.session_errors.emplace(
-          p.session,
-          Status::Internal(
-              "counted " + std::to_string(counts.cc(i).TotalRows()) +
-              " rows for node " + std::to_string(p.request.node_id) +
-              ", expected " + std::to_string(p.request.data_size)));
-    }
+    Status counted = CheckCounted(batch[i].request, counts.cc(i));
+    if (!counted.ok()) out.session_errors.emplace(batch[i].session, counted);
   }
 
   // Per-session quota: the CC tables one session's wave materializes must
@@ -570,7 +370,6 @@ SharedScanBatcher::ScanOutcome SharedScanBatcher::ExecuteScanOnce(
   for (int i = 0; i < n; ++i) {
     out.results.emplace_back(batch[i].request.node_id, counts.Take(i));
   }
-  out.delta = CostCounters::Delta(cost, before);
   return out;
 }
 
@@ -592,23 +391,9 @@ uint64_t SharedScanBatcher::ScansParticipated(SessionId id) const {
   return it == sessions_.end() ? 0 : it->second.scans;
 }
 
-void SharedScanBatcher::FillMetrics(ServiceMetrics* out) const {
+ServiceMetrics SharedScanBatcher::ScanMetrics() const {
   MutexLock lock(mu_);
-  out->scans_executed = scans_executed_;
-  out->requests_fulfilled = requests_fulfilled_;
-  out->scan_session_slots = scan_session_slots_;
-  out->rows_scanned = rows_scanned_;
-  out->scan_retries = scan_retries_;
-  out->scan_failures = scan_failures_;
-  out->bitmap_scans = bitmap_scans_;
-  out->bitmap_fallbacks = bitmap_fallbacks_;
-  out->shard_scans = shard_scans_;
-  out->shard_fallbacks = shard_fallbacks_;
-  out->shard_rescans = shard_rescans_;
-  out->shard_replica_rescans = shard_replica_rescans_;
-  out->shard_rpc_timeouts = shard_rpc_timeouts_;
-  out->shard_worker_restarts = shard_worker_restarts_;
-  out->scans_by_table = scans_by_table_;
+  return scans_;
 }
 
 }  // namespace sqlclass

@@ -352,6 +352,41 @@ TEST(FaultInjectorTest, EnvSpecArmsWithoutApiTouch) {
   EXPECT_EQ(std::system(cmd.c_str()), 0);
 }
 
+// A malformed SQLCLASS_FAULTS_SEED is ignored whole, never read as its
+// numeric prefix: with "7x" the env-armed coin fires exactly as under the
+// default seed 42. Re-execs this binary like the test above.
+TEST(FaultInjectorTest, MalformedEnvSeedKeepsDefaultSeed) {
+  if (std::getenv("SQLCLASS_ENV_PROBE") != nullptr) {
+    // Probe branch: SQLCLASS_FAULTS armed `test/prob` at process start.
+    FaultInjector& fi = FaultInjector::Global();
+    auto draw_pattern = [&] {
+      std::vector<bool> fired;
+      for (int i = 0; i < 64; ++i) {
+        fired.push_back(!fi.OnHit("test/prob").ok());
+      }
+      return fired;
+    };
+    const std::vector<bool> from_env = draw_pattern();
+    fi.Reset();  // back to seed 42
+    FaultInjector::PointConfig config;
+    config.probability = 0.5;
+    fi.Arm("test/prob", config);
+    EXPECT_EQ(from_env, draw_pattern());
+    return;
+  }
+  std::error_code ec;
+  const std::filesystem::path self =
+      std::filesystem::read_symlink("/proc/self/exe", ec);
+  ASSERT_FALSE(ec) << ec.message();
+  const std::string cmd =
+      "SQLCLASS_ENV_PROBE=1 SQLCLASS_FAULTS_SEED=7x "
+      "SQLCLASS_FAULTS='test/prob=prob:0.5' '" +
+      self.string() +
+      "' --gtest_filter=FaultInjectorTest.MalformedEnvSeedKeepsDefaultSeed "
+      ">/dev/null 2>&1";
+  EXPECT_EQ(std::system(cmd.c_str()), 0);
+}
+
 TEST(FaultInjectorTest, SpecRejectsMalformedEntries) {
   FaultScope guard;
   FaultInjector& fi = FaultInjector::Global();

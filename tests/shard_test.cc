@@ -445,6 +445,30 @@ TEST_F(MiddlewareShardTest, PersistentFaultsFallBackByteIdentically) {
   }
 }
 
+// The middleware's rung list is [plan's engine, rows]: a Rule-0 batch whose
+// bitmap pass fails falls to the row scan, never to the shard set, even
+// when the table carries one.
+TEST_F(MiddlewareShardTest, BitmapFaultFallsToRowsNotShards) {
+  FaultScope guard;
+  GrowOutput baseline = Grow(Config(false));
+  RebuildShardSet(4);
+  ASSERT_TRUE(server_->BuildBitmapIndex("data").ok());
+
+  FaultInjector::Global().Arm(faults::kBitmapRead,
+                              FaultInjector::PointConfig());
+  GrowOutput out = Grow(Config(true));
+  FaultInjector::Global().Reset();
+
+  EXPECT_EQ(out.tree, baseline.tree);
+  EXPECT_GT(out.stats.bitmap_fallbacks.load(), 0u);
+  EXPECT_EQ(out.stats.bitmap_scans.load(), 0u);
+  for (const auto& trace : out.trace) {
+    if (trace.bitmap_fallback) {
+      EXPECT_FALSE(trace.served_from_shards);
+    }
+  }
+}
+
 TEST_F(MiddlewareShardTest, AllWorkersDeadStillServesViaPrimaryRescans) {
   GrowOutput baseline = Grow(Config(false));
   RebuildShardSet(4);
@@ -658,6 +682,30 @@ TEST_F(ServiceShardTest, ShardFaultDegradesToRowScanByteIdentically) {
   ServiceMetrics metrics = service->Metrics();
   EXPECT_EQ(metrics.shard_scans, 0u);
   EXPECT_GT(metrics.shard_fallbacks, 0u);
+}
+
+// The service's rung list is [bitmap, shards, rows]: with both structures
+// built and every bitmap read failing, a shared scan falls bitmap -> shards.
+TEST_F(ServiceShardTest, BitmapFaultFallsToShards) {
+  const std::string reference = ReferenceSignature();
+  FaultScope guard;
+  auto service = MakeService(ShardedConfig(), /*shards=*/4);
+  {
+    MutexLock lock(*service->server_mutex());
+    ASSERT_TRUE(service->server()->BuildBitmapIndex("data").ok());
+  }
+
+  FaultInjector::Global().Arm(faults::kBitmapRead,
+                              FaultInjector::PointConfig());
+  SessionResult result = service->Run(TreeSpec());
+  FaultInjector::Global().Reset();
+
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_NE(result.tree, nullptr);
+  EXPECT_EQ(result.tree->Signature(), reference);
+  ServiceMetrics metrics = service->Metrics();
+  EXPECT_GT(metrics.bitmap_fallbacks, 0u);
+  EXPECT_GT(metrics.shard_scans, 0u);
 }
 
 }  // namespace

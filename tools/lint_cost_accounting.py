@@ -19,7 +19,6 @@ Primitives (call sites that move rows/bytes):
     ->BitmapWords( / .BitmapWords(   bitmap-index word fetch
     ->SampleRows( / .SampleRows(     scramble (sample file) payload fetch
     ->ShardRows( / .ShardRows(       shard distribution-map entry fetch
-    ShardMerger::ShardMergeCells(    partial-CC merge cell movement
 
 Charges (anything that mutates a counter field): ++x or x += where x names
 a field of CostCounters or IoCounters (the field lists are parsed out of
@@ -75,7 +74,6 @@ PRIMITIVE_RE = re.compile(
       | (?:\.|->)BitmapWords\s*\(
       | (?:\.|->)SampleRows\s*\(
       | (?:\.|->|::)ShardRows\s*\(
-      | (?:\.|->|::)ShardMergeCells\s*\(
     """,
     re.VERBOSE,
 )

@@ -85,6 +85,19 @@ MATCH_CALL_RE = re.compile(r"(?:\.|->)\s*Match\s*\(")
 COUNT_KERNEL_FILES = {
     "count_batch.h", "count_batch.cc", "batch_matcher.h", "batch_matcher.cc",
 }
+ENGINE_OPEN_RE = re.compile(
+    r"\bBitmapIndexReader\s*::\s*Open\b"
+    r"|\bShardCoordinator\s*::\s*Open\b"
+    r"|\bMakeShardTransport\s*\("
+)
+# Files allowed to open the engines' readers and transports: the shared
+# server-table pass and the files defining them.
+ENGINE_ROUTE_FILES = {
+    "server_pass.h", "server_pass.cc",
+    "bitmap_index.h", "bitmap_index.cc",
+    "shard_scan.h", "shard_scan.cc",
+    "subprocess_shard_transport.h", "subprocess_shard_transport.cc",
+}
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(\s*[^;()]*?:\s*(\w+)\s*\)")
 BEGIN_ITER_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*c?begin\s*\(")
 SINK_RE = re.compile(
@@ -179,6 +192,12 @@ def check_file(path):
                 func = enclosing[0] if enclosing else "<file-scope>"
                 violations.append((path, sf.line_of(m.start()), func,
                                    "hand-count", m.group(0).strip()))
+    if os.path.basename(path) not in ENGINE_ROUTE_FILES:
+        for m in ENGINE_OPEN_RE.finditer(sf.clean):
+            enclosing = sf.enclosing_function(m.start())
+            func = enclosing[0] if enclosing else "<file-scope>"
+            violations.append((path, sf.line_of(m.start()), func,
+                               "engine-route", m.group(0).strip()))
     return violations
 
 
@@ -263,6 +282,28 @@ def self_test(root):
             "}  // namespace sqlclass\n",
             expect="HeapMatcherForLintSelfTest",
             label="heap-built BatchMatcher outside the count kernel"),
+        Injection(
+            cc_table,
+            "\nnamespace sqlclass {\n"
+            "void BitmapRouteForLintSelfTest(const std::string& path) {\n"
+            "  auto index = BitmapIndexReader::Open(path, nullptr);\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="BitmapRouteForLintSelfTest",
+            label="bitmap reader opened outside the server-table pass"),
+        Injection(
+            cc_table,
+            "\nnamespace sqlclass {\n"
+            "void ShardRouteForLintSelfTest(const std::string& path,\n"
+            "                               const Schema& schema,\n"
+            "                               const ShardingConfig& config) {\n"
+            "  auto coordinator = ShardCoordinator::Open(path, schema,\n"
+            "                                            nullptr);\n"
+            "  auto transport = MakeShardTransport(config);\n"
+            "}\n"
+            "}  // namespace sqlclass\n",
+            expect="ShardRouteForLintSelfTest",
+            label="shard coordinator and transport outside the pass"),
     ]
     return run_self_test(cases, check_file, "determinism")
 
@@ -287,6 +328,10 @@ def main():
         if kind == "banned-call":
             return (f"`{v[4]}` in {v[2]}() — unseeded/wall-clock source; "
                     "byte-identity cannot survive it")
+        if kind == "engine-route":
+            return (f"`{v[4]}` in {v[2]}() — route server-table batches "
+                    "through ServerPass (middleware/server_pass.h), not a "
+                    "second bitmap/shard/row ladder")
         if kind == "hand-count":
             return (f"`{v[4]}` in {v[2]}() — count batches through "
                     "CountBatch (middleware/count_batch.h), not a "
@@ -308,7 +353,7 @@ def main():
         print(f"determinism lint: clean — {len(paths)} files, no unseeded "
               "randomness, no unordered iteration into order-sensitive "
               "sinks, no address-keyed ordering, no hand-written count "
-              "loops")
+              "loops, no second engine router")
     return code
 
 
